@@ -1,8 +1,8 @@
 """``python -m repro.analysis``: the repo invariant gate.
 
 Runs every checker in :mod:`repro.analysis.rules` over the given paths
-(default: ``src tests benchmarks examples``, resolved against the
-current directory) and exits non-zero when any unsuppressed finding
+(default: ``src tests benchmarks examples perfbench``, resolved against
+the current directory) and exits non-zero when any unsuppressed finding
 remains — the same contract ``tests/test_analysis_gate.py`` enforces in
 the tier-1 lane.
 
@@ -31,7 +31,7 @@ from repro.analysis.graph import AnalysisCache
 from repro.analysis.sarif import to_sarif
 
 #: Scanned when no paths are given (existing ones only).
-DEFAULT_PATHS = ("src", "tests", "benchmarks", "examples")
+DEFAULT_PATHS = ("src", "tests", "benchmarks", "examples", "perfbench")
 
 #: Default on-disk location of the per-file analysis cache.
 DEFAULT_CACHE = ".repro-analysis-cache.json"
@@ -45,7 +45,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "paths", nargs="*",
         help="files or directories to scan (default: src tests benchmarks "
-             "examples, where present)",
+             "examples perfbench, where present)",
     )
     output = parser.add_mutually_exclusive_group()
     output.add_argument(

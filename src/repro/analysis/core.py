@@ -282,9 +282,19 @@ def collect_guarded(cls: type) -> Dict[str, str]:
     The runtime sanitizer's entry point into the static annotations: one
     ``# guarded-by:`` declaration drives both the AST checker and the
     instrumented-object tracer, so the two tiers can never disagree
-    about what is supposed to be guarded.  Classes without readable
-    source (builtins, REPL definitions) yield ``{}``.
+    about what is supposed to be guarded.  Annotations are inherited:
+    a subclass instance is traced for its base classes' guarded state
+    too.  Classes without readable source (builtins, REPL definitions)
+    contribute ``{}``.
     """
+    guarded: Dict[str, str] = {}
+    for klass in reversed(cls.__mro__):
+        guarded.update(_own_guarded(klass))
+    return guarded
+
+
+def _own_guarded(cls: type) -> Dict[str, str]:
+    """The annotations declared in ``cls``'s own class body."""
     try:
         source = textwrap.dedent(inspect.getsource(cls))
     except (OSError, TypeError):

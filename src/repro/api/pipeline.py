@@ -78,6 +78,11 @@ class StageEvent:
     artifact incrementally from an edge delta instead of recomputing it
     from scratch.
 
+    ``seconds`` is the stage's *own* work: an upstream stage entered
+    from inside it (featurize → enumerate → compose) logs its own event
+    and stays off the downstream stage's clock, so summing a run's
+    events never counts a second twice.
+
     ``duration_s`` mirrors ``seconds`` under the span-tier field name
     (every :class:`repro.obs.Span` carries ``duration_s``); events are
     also re-emitted as ``pipeline.<stage>`` spans when tracing is on,
@@ -95,6 +100,13 @@ class StageEvent:
     def __post_init__(self) -> None:
         if self.duration_s == 0.0:
             self.duration_s = self.seconds
+
+
+def _timed(stage):
+    """Run an upstream stage; returns ``(result, seconds)``."""
+    started = time.perf_counter()
+    result = stage()
+    return result, time.perf_counter() - started
 
 
 def _resolve_dataset(dataset: Union[str, HINDataset], seed: int) -> HINDataset:
@@ -398,8 +410,13 @@ class Pipeline:
             self._context_set = cached
             self._log("enumerate", key, "loaded", time.perf_counter() - started)
             return cached
+        upstream_s = 0.0
+
         def build() -> ContextSet:
-            self.compose()  # products first (warm store ⇒ zero compositions)
+            nonlocal upstream_s
+            # Products first (warm store ⇒ zero compositions); compose
+            # logs its own time, so it stays off this stage's clock.
+            _, upstream_s = _timed(self.compose)
             from repro.hin.context import enumerate_contexts
             from repro.hin.neighbors import NeighborFilter
 
@@ -451,7 +468,8 @@ class Pipeline:
         context_set, action = self._claimed_compute("enumerate", key, build)
         self._context_set = context_set
         self._log(
-            "enumerate", key, action, time.perf_counter() - started,
+            "enumerate", key, action,
+            time.perf_counter() - started - upstream_s,
             pairs=[int(p.shape[0]) for p in context_set.pairs],
         )
         return context_set
@@ -482,8 +500,13 @@ class Pipeline:
                     "featurize", key, "loaded", time.perf_counter() - started
                 )
                 return cached
+        upstream_s = 0.0
+
         def build() -> FeatureSet:
-            context_set = self.enumerate()
+            nonlocal upstream_s
+            # Enumerate (and the compose under it) log their own time,
+            # so they stay off this stage's clock.
+            context_set, upstream_s = _timed(self.enumerate)
             from repro.core.bipartite_conv import neighbor_adjacency_from_pairs
             from repro.core.context_features import build_context_features
             from repro.core.trainer import ConCHData, MetaPathData
@@ -559,7 +582,10 @@ class Pipeline:
             "featurize", key, build, persist=not supplied_embeddings
         )
         self._feature_set = feature_set
-        self._log("featurize", key, action, time.perf_counter() - started)
+        self._log(
+            "featurize", key, action,
+            time.perf_counter() - started - upstream_s,
+        )
         return feature_set
 
     # -------------------------------------------------------------- #

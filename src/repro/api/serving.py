@@ -34,8 +34,8 @@ to issuing the requests one at a time, and raw logits/probabilities
 agree to ~1 ulp — BLAS may choose different blocking for the union
 slice's different shape, the same float-determinism standard the
 sliced-vs-full-forward conformance suite already holds the handle to.
-:class:`repro.serve.ModelServer` builds its micro-batching scheduler on
-exactly this call.
+:class:`repro.serve.ModelServer`'s micro-batching scheduler answers
+every batch with exactly this call.
 
 Zero-copy (mmap) operator tier
 ------------------------------
@@ -373,17 +373,17 @@ class ModelHandle:
         """Logits for many requests through ONE union sliced forward.
 
         Validates every request first (so a bad request fails the whole
-        call before any work — per-request isolation is the
-        :class:`repro.serve.BatchPlanner`'s job), unions the ids, runs a
+        call before any work — the server isolates requests by
+        validating each one at submit instead), unions the ids, runs a
         single receptive-field gather + forward, and scatters each
         request's rows back out in its own input order.  Labels match
         per-request calls bit-exactly, logits to ~1 ulp (see module
         docstring) — the batched equivalence guarantee.
 
         ``validated=True`` skips the per-array re-validation for callers
-        whose arrays already went through :meth:`check_ids` (the planner
-        and server validate per request for error isolation); the union
-        still passes one final check inside the sliced forward.
+        whose arrays already went through :meth:`check_ids` (the server
+        validates each request at submit); the union still passes one
+        final check inside the sliced forward.
 
         ``return_generation=True`` returns ``(answers, generation)``
         where ``generation`` is the operator generation the whole batch

@@ -2,27 +2,27 @@
 
 The paper's model answers per-node label queries from fixed, precomputed
 meta-path operators — a read-heavy serving workload.  This package turns
-the repo's batch reproduction into a query *server* in three layers,
-each usable on its own:
-
-:class:`~repro.serve.batching.BatchPlanner`
-    Pure request coalescing: validate each request independently, run
-    **one** receptive-field union slice + model forward for the whole
-    batch (:meth:`repro.api.ModelHandle.forward_many`), scatter answers
-    back — bit-identical to sequential queries, including which
-    requests error and with what message.
+the repo's batch reproduction into a query *server*:
 
 :class:`~repro.serve.server.ModelServer`
-    The thread-pool front-end: a micro-batching scheduler
-    (``max_batch_size`` / ``max_wait_ms``) over a **bounded** request
-    queue with load-shedding admission control
-    (:class:`~repro.serve.server.ServerOverloaded`), futures, and
-    latency/throughput/batch-shape telemetry.
-    :class:`~repro.serve.server.ProcessReplicaServer` runs the same
-    protocol across OS processes, with elastic replica counts
-    (:meth:`~repro.serve.server.ProcessReplicaServer.scale_to`,
+    The one scheduler: submit-time validation (the handle's own errors)
+    and load-shedding admission control over a **bounded** request
+    queue (:class:`~repro.serve.server.ServerOverloaded`), a
+    micro-batching worker pool (``max_batch_size`` / ``max_wait_ms``)
+    that answers each batch with **one** receptive-field union slice +
+    model forward (:meth:`repro.api.ModelHandle.forward_many`) —
+    bit-identical to sequential queries — plus futures, a hot-query
+    cache, and latency/throughput/batch-shape telemetry.
+
+    It has two executors.  A ``ModelServer`` worker forwards through
+    its handle in-thread; each worker of a
+    :class:`~repro.serve.server.ProcessReplicaServer` owns a spawned
+    replica process instead, and the pool of worker+replica pairs is
+    elastic (:meth:`~repro.serve.server.ProcessReplicaServer.scale_to`,
     optionally driven by an
-    :class:`~repro.serve.autoscale.AutoscalePolicy`).
+    :class:`~repro.serve.autoscale.AutoscalePolicy`).  Small concurrent
+    reads are faster in-thread, large concurrent reads on replicas (the
+    measurements are in :mod:`repro.serve.server`), so both stay.
 
 :class:`~repro.serve.http.HttpServer`
     The network front door: a stdlib-only HTTP facade over
@@ -61,7 +61,6 @@ See ``examples/serving_under_load.py`` for a full concurrent-load run.
 """
 
 from repro.serve.autoscale import AutoscalePolicy, ReplicaAutoscaler
-from repro.serve.batching import BatchItem, BatchPlanner
 from repro.serve.client import ServeClient
 from repro.serve.http import HttpServeClient, HttpServer
 from repro.serve.server import (
@@ -73,8 +72,6 @@ from repro.serve.server import (
 
 __all__ = [
     "AutoscalePolicy",
-    "BatchItem",
-    "BatchPlanner",
     "HttpServeClient",
     "HttpServer",
     "ModelServer",

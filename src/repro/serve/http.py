@@ -302,7 +302,9 @@ class HttpServer:
         # so a float id over HTTP raises the exact in-process TypeError.
         future = self.server.submit(payload["ids"], proba=proba)
         answer = future.result(self.request_timeout)
-        generation = self.server.handle.generation
+        # The generation the answer was computed against — not the
+        # handle's current one, which an ingest may have bumped since.
+        generation = future.generation
         serialize_started = time.perf_counter()
         if proba:
             out: Dict[str, object] = {

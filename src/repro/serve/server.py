@@ -3,12 +3,13 @@
 The front-end of the serving subsystem.  Callers :meth:`~ModelServer.submit`
 ``predict_nodes``-shaped requests (or use the blocking
 ``predict_nodes`` / ``predict_proba_nodes`` wrappers, or a
-:class:`repro.serve.client.ServeClient`); a scheduler thread pool forms
-**micro-batches** — up to ``max_batch_size`` requests, waiting at most
-``max_wait_ms`` after the first arrival — and answers each batch with a
-single union sliced forward through :class:`repro.serve.BatchPlanner`,
-so B concurrent single-node queries cost one receptive-field gather and
-one model forward instead of B.  Results are bit-identical to calling
+:class:`repro.serve.client.ServeClient`); a pool of scheduler workers
+forms **micro-batches** — up to ``max_batch_size`` requests, waiting at
+most ``max_wait_ms`` after the first arrival — and answers each batch
+with a single union sliced forward
+(:meth:`repro.api.ModelHandle.forward_many`), so B concurrent
+single-node queries cost one receptive-field gather and one model
+forward instead of B.  Results are bit-identical to calling
 :meth:`repro.api.ModelHandle.predict_nodes` sequentially (the batched
 equivalence guarantee; the tests pin it down).
 
@@ -45,6 +46,8 @@ generation component makes invalidation atomic with
 :meth:`~repro.api.ModelHandle.refresh`'s pointer swap — an entry from
 an old generation can never answer a post-ingest query — and
 :meth:`ingest` additionally clears the cache to bound stale residency.
+Every future carries the generation its answer was computed against
+(:attr:`PredictionFuture.generation`).
 
 Lifecycle
 ---------
@@ -65,17 +68,39 @@ window.
 
 Multi-process serving
 ---------------------
-:class:`ProcessReplicaServer` runs the same protocol across OS
-processes: each replica loads the bundle through the **memory-mapped
-operator tier** (:meth:`repro.api.ModelHandle.load`), so N replicas
-share one OS-resident copy of the operators and cold-start by mapping,
-not copying.  Use it when the GIL — not the hardware — is the
-bottleneck; the thread server is lighter for scipy-heavy forwards that
-release the GIL.  The replica count is elastic: :meth:`~
-ProcessReplicaServer.scale_to` adds replicas (spawn) or retires them
-(a shutdown sentinel through the shared queue), and attaching an
-:class:`repro.serve.autoscale.AutoscalePolicy` drives it automatically
-from observed queue depth and shed rate.
+There is one scheduler and two executors.  Everything above — the
+bounded queue, validation and shedding at submit, the hot cache, the
+wait policy, futures, counters, the slow log, spans, and the
+stop/restart rules — lives in :class:`ModelServer` and runs in the
+calling process.  What differs is where a formed batch's forward runs:
+a :class:`ModelServer` worker calls its own handle in-thread, while each
+worker of a :class:`ProcessReplicaServer` owns one spawned replica
+process and hands the batch to it over a pipe.  Replicas load the
+bundle through the **memory-mapped operator tier**
+(:meth:`repro.api.ModelHandle.load`), so N replicas share one
+OS-resident copy of the operators and cold-start by mapping, not
+copying.  The pool is elastic: :meth:`ProcessReplicaServer.scale_to`
+adds or retires worker+replica pairs, and an
+:class:`repro.serve.autoscale.AutoscalePolicy` can drive it from the
+observed queue depth and shed count.
+
+Both executors stay because each wins one kind of load.  Closed-loop
+clients, in process, on a 2-core machine with the ``query_point``
+benchmark bundle (medians of 3 alternating rounds):
+
+=====================  ========================  ==========================
+closed-loop load       ``ModelServer()``         ``ProcessReplicaServer(``
+                       defaults                  ``replicas=2)``
+=====================  ========================  ==========================
+2 clients × 1 id       7.0 ms p50, 292 req/s     7.7 ms, 259 req/s
+8 clients × 1 id       7.3 ms, 1032 req/s        8.8 ms, 879 req/s
+16 clients × 1 id      9.9 ms, 1658 req/s        11.3 ms, 1326 req/s
+4 clients × 64 ids     57 ms, 70 req/s           40 ms, 90 req/s
+=====================  ========================  ==========================
+
+Small reads are cheapest in-thread (no pickling, no pipe hop); large
+concurrent reads are bound by the interpreter lock, which replicas do
+not share.
 """
 
 from __future__ import annotations
@@ -93,7 +118,6 @@ import numpy as np
 from repro.obs import metrics as obs_metrics
 from repro.obs.slowlog import SlowRequestLog
 from repro.obs.trace import TRACER, TraceContext
-from repro.serve.batching import BatchPlanner
 
 
 class ServerOverloaded(RuntimeError):
@@ -108,6 +132,11 @@ class PredictionFuture:
     "forward_s"}`` breakdown of the end-to-end latency (batch-level
     boundaries shared by every request in the batch).  It stays ``None``
     for hot-cache hits and failed batches.
+
+    ``generation`` is the operator generation the answer was computed
+    against — the batch's own snapshot, or the cache key's generation on
+    a hot-cache hit — so a refresh landing after the answer cannot
+    relabel it.  ``None`` until answered, and for failed requests.
     """
 
     def __init__(self):
@@ -117,6 +146,7 @@ class PredictionFuture:
         self.submitted = time.perf_counter()
         self.completed: Optional[float] = None
         self.timings: Optional[Dict[str, float]] = None
+        self.generation: Optional[int] = None
 
     def done(self) -> bool:
         return self._event.is_set()
@@ -136,9 +166,10 @@ class PredictionFuture:
             return None
         return self.completed - self.submitted
 
-    def _finish(self, value=None, error=None) -> None:
+    def _finish(self, value=None, error=None, generation=None) -> None:
         self._value = value
         self._error = error
+        self.generation = generation
         self.completed = time.perf_counter()
         self._event.set()
 
@@ -161,13 +192,34 @@ class _QueuedRequest:
         self.ctx = ctx
 
 
+class _Worker:
+    """One scheduler worker: the handle its batches are forwarded
+    through (the server's own, or a replica — see
+    :meth:`ModelServer._worker_handle`), its thread, and the flag that
+    retires it between batches."""
+
+    __slots__ = ("handle", "thread", "retired")
+
+    def __init__(self):
+        self.handle = None
+        self.thread: Optional[threading.Thread] = None
+        self.retired = threading.Event()
+
+    def alive(self) -> bool:
+        return self.thread is not None and self.thread.is_alive()
+
+
 #: EWMA smoothing for the observed request inter-arrival gap (the
 #: adaptive micro-batching signal): new = ALPHA*gap + (1-ALPHA)*old.
 ARRIVAL_EWMA_ALPHA = 0.2
 
 
 class ModelServer:
-    """Thread-pool micro-batching server over one :class:`ModelHandle`.
+    """Micro-batching scheduler over one :class:`ModelHandle`.
+
+    Its workers are threads that forward batches through ``handle``;
+    :class:`ProcessReplicaServer` reuses the whole scheduler with a
+    replica process behind each worker instead.
 
     Parameters
     ----------
@@ -185,7 +237,7 @@ class ModelServer:
         Bound on queued (admitted, unanswered) requests; beyond it
         :meth:`submit` sheds load with :class:`ServerOverloaded`.
     num_workers:
-        Scheduler threads forming and answering batches concurrently.
+        Scheduler workers forming and answering batches concurrently.
     adaptive_wait:
         Derive the effective wait from the observed inter-arrival EWMA
         instead of always waiting ``max_wait_ms`` (see module docs).
@@ -201,6 +253,9 @@ class ModelServer:
         How many worst-latency requests to keep (with their per-phase
         breakdown) under ``stats()["slow_requests"]``.
     """
+
+    #: Registry component name (``repro_<component>_*`` in ``/metrics``).
+    metrics_component = "server"
 
     def __init__(
         self,
@@ -230,7 +285,6 @@ class ModelServer:
             )
         self.handle = handle
         self.pipeline = pipeline
-        self.planner = BatchPlanner(handle)
         self.max_batch_size = int(max_batch_size)
         self.max_wait_s = float(max_wait_ms) / 1000.0
         self.num_workers = int(num_workers)
@@ -239,13 +293,13 @@ class ModelServer:
         self._queue: "queue.Queue[_QueuedRequest]" = queue.Queue(
             maxsize=int(max_queue)
         )
-        self._threads: List[threading.Thread] = []
         self._stop = threading.Event()
         # Telemetry shared between submitters, scheduler workers, and
         # stats() readers; the lock-discipline rule of
         # ``python -m repro.analysis`` enforces the annotations below,
         # and the runtime sanitizer traces them under load.
         self._lock = threading.Lock()
+        self._workers: List[_Worker] = []  # guarded-by: _lock
         self._started_at: Optional[float] = None  # guarded-by: _lock
         self._stopped_at: Optional[float] = None  # guarded-by: _lock
         self._latencies: deque = deque(maxlen=4096)  # guarded-by: _lock
@@ -274,7 +328,7 @@ class ModelServer:
             help="End-to-end submit->answer latency per request",
         )
         self._obs = obs_metrics.REGISTRY.register(
-            "server", self._collect_metrics
+            self.metrics_component, self._collect_metrics
         )
 
     # ------------------------------------------------------------- #
@@ -289,11 +343,11 @@ class ModelServer:
         worker and a fresh one would serve the same queue, and answers
         could keep flowing from a generation the caller believes dead.
         """
-        self._threads = [t for t in self._threads if t.is_alive()]
-        if self._threads:
+        alive = self._live_workers()
+        if alive:
             if self._stop.is_set():
                 raise RuntimeError(
-                    f"cannot restart: {len(self._threads)} worker(s) from "
+                    f"cannot restart: {len(alive)} worker(s) from "
                     "the previous run are still alive; wait for them to "
                     "finish their in-flight batch and call start() again"
                 )
@@ -302,14 +356,8 @@ class ModelServer:
         with self._lock:
             self._started_at = time.perf_counter()
             self._stopped_at = None
-        for index in range(self.num_workers):
-            thread = threading.Thread(
-                target=self._worker_loop,
-                name=f"repro-serve-{index}",
-                daemon=True,
-            )
-            thread.start()
-            self._threads.append(thread)
+        for _ in range(self.num_workers):
+            self._add_worker()
         return self
 
     def stop(self, timeout: float = 5.0) -> None:
@@ -326,12 +374,45 @@ class ModelServer:
         with self._lock:
             if self._started_at is not None and self._stopped_at is None:
                 self._stopped_at = time.perf_counter()
-        for thread in self._threads:
-            thread.join(timeout)
+            workers = list(self._workers)
+        for worker in workers:
+            worker.thread.join(timeout)
         # Workers that missed the deadline stay on the books: start()
         # refuses to spawn a second generation next to them.
-        self._threads = [t for t in self._threads if t.is_alive()]
+        self._live_workers()
         self._fail_pending()
+
+    def _live_workers(self) -> List[_Worker]:
+        """Drop exited workers from the pool; return the live ones."""
+        with self._lock:
+            self._workers = [w for w in self._workers if w.alive()]
+            return list(self._workers)
+
+    def _add_worker(self) -> None:
+        """Start one scheduler worker (callers hold no locks)."""
+        worker = _Worker()
+        worker.handle = self._worker_handle(worker)
+        worker.thread = threading.Thread(
+            target=self._worker_loop,
+            args=(worker,),
+            name="repro-serve-worker",
+            daemon=True,
+        )
+        # Started before it joins the pool: stop() only ever joins
+        # threads that are running.
+        worker.thread.start()
+        with self._lock:
+            self._workers.append(worker)
+
+    def _worker_handle(self, worker: _Worker):
+        """What ``worker`` forwards its batches through: the server's
+        own handle (:class:`ProcessReplicaServer` gives each worker a
+        replica process instead)."""
+        return self.handle
+
+    def _release_worker_handle(self, handle) -> None:
+        """Called by a worker's thread as it exits (nothing to release
+        for the shared in-process handle)."""
 
     def _fail_pending(self) -> None:
         """Fail every queued request so no caller blocks on a dead server."""
@@ -365,7 +446,9 @@ class ModelServer:
         answer from the same operator generation).  A full queue sheds
         the request with :class:`ServerOverloaded` (admission control).
         """
-        if not self._threads:
+        with self._lock:
+            running = bool(self._workers)
+        if not running:
             raise RuntimeError("server is not running; call start() first")
         checked = self.handle.check_ids(ids)  # raises exactly like the handle
         proba = bool(proba)
@@ -393,7 +476,7 @@ class ModelServer:
         ctx = TRACER.current_context() if TRACER.enabled else None
         future = PredictionFuture()
         if cached is not None:
-            future._finish(value=cached.copy())
+            future._finish(value=cached.copy(), generation=generation)
             if TRACER.enabled:
                 TRACER.record(
                     "server.request",
@@ -503,47 +586,54 @@ class ModelServer:
             return 0.0
         return min(self.max_wait_s, ewma * (self.max_batch_size - 1))
 
-    def _worker_loop(self) -> None:
-        while not self._stop.is_set():
-            try:
-                first = self._queue.get(timeout=0.05)
-            except queue.Empty:
-                continue
-            batch = [first]
-            formed_at = time.perf_counter()
-            deadline = time.monotonic() + self._effective_wait_s()
-            while len(batch) < self.max_batch_size:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    # Grab whatever is already queued, but wait no more.
-                    try:
-                        batch.append(self._queue.get_nowait())
-                    except queue.Empty:
-                        break
-                else:
-                    try:
-                        batch.append(self._queue.get(timeout=remaining))
-                    except queue.Empty:
-                        break
-            self._serve_batch(batch, formed_at, time.perf_counter())
+    def _worker_loop(self, worker: _Worker) -> None:
+        try:
+            while not (self._stop.is_set() or worker.retired.is_set()):
+                try:
+                    first = self._queue.get(timeout=0.05)
+                except queue.Empty:
+                    continue
+                batch = [first]
+                formed_at = time.perf_counter()
+                deadline = time.monotonic() + self._effective_wait_s()
+                while len(batch) < self.max_batch_size:
+                    remaining = deadline - time.monotonic()
+                    if remaining <= 0:
+                        # Grab whatever is already queued, but wait no more.
+                        try:
+                            batch.append(self._queue.get_nowait())
+                        except queue.Empty:
+                            break
+                    else:
+                        try:
+                            batch.append(self._queue.get(timeout=remaining))
+                        except queue.Empty:
+                            break
+                self._serve_batch(
+                    batch, worker.handle, formed_at, time.perf_counter()
+                )
+        finally:
+            self._release_worker_handle(worker.handle)
 
     def _serve_batch(
         self,
         batch: List[_QueuedRequest],
-        formed_at: Optional[float] = None,
-        assembled_at: Optional[float] = None,
+        handle,
+        formed_at: float,
+        assembled_at: float,
     ) -> None:
-        # ``formed_at``/``assembled_at`` bound the companion-collection
-        # window (perf_counter, same clock as PredictionFuture.submitted);
-        # direct callers may omit them and lose only the phase breakdown.
-        now = time.perf_counter()
-        if formed_at is None:
-            formed_at = now
-        if assembled_at is None:
-            assembled_at = now
+        """Answer one formed batch through ``handle``: one union forward,
+        then argmax (labels) or softmax (proba) per request.
+
+        ``formed_at``/``assembled_at`` bound the companion-collection
+        window (perf_counter, same clock as PredictionFuture.submitted).
+        """
+        from repro.eval.metrics import softmax
+
         # One batch-level span parents the whole scheduler-side subtree
-        # (planner run + the handle's sliced forward via this thread's
-        # context stack) into the first request's trace.
+        # (the handle's sliced forward via this thread's context stack,
+        # or a replica's span via the context shipped with the batch)
+        # into the first request's trace.
         batch_span = TRACER.span(
             "server.batch",
             parent=batch[0].ctx if TRACER.enabled else None,
@@ -553,11 +643,15 @@ class ModelServer:
             with batch_span:
                 # validated=True: every request already passed check_ids
                 # at submit — do not re-scan the hot path.
-                answers, generation = self.planner.run(
-                    [(request.ids, request.proba) for request in batch],
+                logits, generation = handle.forward_many(
+                    [request.ids for request in batch],
                     validated=True,
                     return_generation=True,
                 )
+                answers = [
+                    softmax(rows) if request.proba else rows.argmax(axis=1)
+                    for request, rows in zip(batch, logits)
+                ]
         except Exception as exc:  # defensive: a failed batch must not
             for request in batch:  # wedge its callers or kill the loop
                 request.future._finish(error=exc)
@@ -567,20 +661,10 @@ class ModelServer:
                 self._batch_sizes.append(len(batch))
             return
         forward_done = time.perf_counter()
-        answered = failed = 0
-        cacheable = []
         for request, answer in zip(batch, answers):
-            if isinstance(answer, Exception):
-                request.future._finish(error=answer)
-                failed += 1
-            else:
-                request.future._finish(value=answer)
-                answered += 1
-                if self._hot_cache_size:
-                    cacheable.append((request, answer))
+            request.future._finish(value=answer, generation=generation)
         with self._lock:
-            self._counters["answered"] += answered
-            self._counters["failed"] += failed
+            self._counters["answered"] += len(batch)
             self._counters["batches"] += 1
             self._batch_sizes.append(len(batch))
             for request in batch:
@@ -592,12 +676,13 @@ class ModelServer:
             # an entry keyed on the old generation is unreachable to
             # post-swap lookups).  Private copies keep caller-side
             # mutation of returned arrays from poisoning the cache.
-            for request, answer in cacheable:
-                key = (generation, request.proba, request.ids.tobytes())
-                self._hot_cache[key] = answer.copy()
-                self._hot_cache.move_to_end(key)
-            while len(self._hot_cache) > self._hot_cache_size:
-                self._hot_cache.popitem(last=False)
+            if self._hot_cache_size:
+                for request, answer in zip(batch, answers):
+                    key = (generation, request.proba, request.ids.tobytes())
+                    self._hot_cache[key] = answer.copy()
+                    self._hot_cache.move_to_end(key)
+                while len(self._hot_cache) > self._hot_cache_size:
+                    self._hot_cache.popitem(last=False)
         # Per-request telemetry runs after the futures resolved and
         # outside self._lock (slow log, tracer, and histogram each have
         # their own leaf lock).
@@ -706,6 +791,7 @@ class ModelServer:
             stopped_at = self._stopped_at
             arrival_ewma = self._arrival_ewma_s
             hot_entries = len(self._hot_cache)
+            running = any(worker.alive() for worker in self._workers)
         if started_at is None:
             elapsed = 0.0
         else:
@@ -714,7 +800,7 @@ class ModelServer:
         out: Dict[str, object] = dict(counters)
         out["queue_depth"] = self._queue.qsize()
         out["workers"] = self.num_workers
-        out["running"] = any(t.is_alive() for t in self._threads)
+        out["running"] = running
         out["uptime_seconds"] = elapsed
         out["throughput_rps"] = (
             counters["answered"] / elapsed if elapsed > 0 else 0.0
@@ -743,106 +829,109 @@ class ModelServer:
 
 
 # ------------------------------------------------------------------ #
-# Optional multi-process front-end
+# Replica-process executor
 # ------------------------------------------------------------------ #
 
 
-def _replica_loop(
-    bundle_path: str,
-    request_queue,
-    response_queue,
-    max_batch_size: int,
-    max_wait_ms: float,
-) -> None:
-    """One replica process: map the bundle, micro-batch, answer.
+def _replica_loop(bundle_path: str, conn) -> None:
+    """One replica process: map the bundle, answer batches until told to stop.
 
     Spawn-safe module-level entry point.  Each replica opens the bundle
     through the mmap tier, so all replicas share one OS-resident
-    operator copy; requests are ``(request_id, ids, proba, ctx)``
-    tuples — ``ctx`` the submitter's ``(trace_id, span_id)`` pair or
-    ``None`` — and ``None`` is the shutdown sentinel.  One sentinel
-    retires exactly one replica (a sentinel seen mid-batch is put back
-    for a sibling), which is how
-    :meth:`ProcessReplicaServer.scale_to` shrinks the pool without
-    touching the survivors.  With ``REPRO_TRACE`` exported (the spawn
-    env is inherited) each replica records ``replica.batch`` spans into
-    its process-local tracer, parented into the submitter's trace via
-    the shipped context.
+    operator copy.  Messages from the owning worker are
+    ``(id_arrays, forward_kwargs, ctx)`` — ``ctx`` the worker's
+    ``(trace_id, span_id)`` or ``None`` — and ``None`` (or a closed
+    pipe) ends the loop.  With ``REPRO_TRACE`` exported (the spawn env
+    is inherited) each replica records ``replica.batch`` spans into its
+    process-local tracer, parented into the batch's trace.
     """
     from repro.api.serving import ModelHandle
 
     handle = ModelHandle.load(bundle_path)
-    planner = BatchPlanner(handle)
-    max_wait_s = float(max_wait_ms) / 1000.0
     while True:
         try:
-            first = request_queue.get(timeout=0.1)
-        except queue.Empty:
-            continue
-        if first is None:
+            message = conn.recv()
+        except EOFError:
             return
-        batch = [first]
-        deadline = time.monotonic() + max_wait_s
-        while len(batch) < max_batch_size:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                break
-            try:
-                item = request_queue.get(timeout=remaining)
-            except queue.Empty:
-                break
-            if item is None:
-                request_queue.put(None)  # leave the sentinel for siblings
-                break
-            batch.append(item)
-        parent_ctx = batch[0][3]
+        if message is None:
+            return
+        id_arrays, kwargs, ctx = message
         try:
             with TRACER.span(
                 "replica.batch",
-                parent=TraceContext(*parent_ctx) if parent_ctx else None,
-                attrs={"batch_size": len(batch)},
+                parent=TraceContext(*ctx) if ctx else None,
+                attrs={"batch_size": len(id_arrays)},
             ):
-                answers = planner.run(
-                    [(ids, proba) for _, ids, proba, _ in batch],
-                    validated=True,
-                )
-        except Exception as exc:  # a failed batch must not kill the
-            # replica or strand its futures (mirrors _serve_batch)
-            for request_id, _, _, _ in batch:
-                response_queue.put((request_id, False, repr(exc)))
-            continue
-        for (request_id, _, _, _), answer in zip(batch, answers):
-            if isinstance(answer, Exception):
-                response_queue.put((request_id, False, repr(answer)))
-            else:
-                response_queue.put((request_id, True, answer))
+                reply = (True, handle.forward_many(id_arrays, **kwargs))
+        except Exception as exc:  # answer the worker; keep serving
+            reply = (False, repr(exc))
+        conn.send(reply)
 
 
-class ProcessReplicaServer:
-    """Micro-batching serving across OS processes sharing one mmap tier.
+class _Replica:
+    """A worker's replica process, driven over one pipe.
 
-    Every replica maps the *same* bundle sidecars, so memory cost is
-    ~one operator copy total (plus per-process model weights, KBs) —
-    the cross-process sharing the zero-copy store exists for.  The
-    parent validates ids up front (same errors as the handle), ships
-    requests over a shared queue, and a collector thread resolves
-    futures as replicas answer.  Admission control matches
-    :class:`ModelServer`: at most ``max_queue`` requests may be in
-    flight (submitted, unanswered); beyond that :meth:`submit` sheds
-    with :class:`ServerOverloaded`.  Start with ``with`` or
-    :meth:`start`; replicas are spawned (not forked), so cold-start
-    includes an interpreter boot each.
+    Duck-types :meth:`repro.api.ModelHandle.forward_many`, which is all
+    :meth:`ModelServer._serve_batch` asks of a handle.  Losing the
+    process fails the batch in hand and calls ``on_lost`` (which retires
+    the owning worker).
+    """
+
+    def __init__(self, context, bundle_path: str, on_lost):
+        self._conn, child = context.Pipe()
+        self.process = context.Process(
+            target=_replica_loop, args=(bundle_path, child), daemon=True
+        )
+        self.process.start()
+        child.close()
+        self._on_lost = on_lost
+
+    def forward_many(self, id_arrays, **kwargs):
+        ctx = TRACER.current_context() if TRACER.enabled else None
+        try:
+            self._conn.send((id_arrays, kwargs, tuple(ctx) if ctx else None))
+            ok, payload = self._conn.recv()
+        except (EOFError, OSError) as exc:
+            self._on_lost()
+            raise RuntimeError("replica process exited") from exc
+        if not ok:
+            raise RuntimeError(payload)
+        return payload
+
+    def close(self, timeout: float = 5.0) -> None:
+        try:
+            self._conn.send(None)
+        except OSError:
+            pass  # already gone
+        self.process.join(timeout)
+        if self.process.is_alive():
+            self.process.terminate()
+            self.process.join(timeout)
+        self._conn.close()
+
+
+class ProcessReplicaServer(ModelServer):
+    """:class:`ModelServer` whose workers each own a replica process.
+
+    Admission, validation, batching, futures, telemetry and the
+    lifecycle rules are :class:`ModelServer`'s, in the parent; a worker
+    hands each formed batch to its own spawned replica over a pipe and
+    waits for the logits.  Every replica maps the *same* bundle
+    sidecars, so memory cost is ~one operator copy total (plus
+    per-process model weights, KBs).  Replicas are spawned (not
+    forked), so cold start includes an interpreter boot each.
 
     Elastic replicas
     ----------------
-    :meth:`scale_to` grows the pool by spawning and shrinks it by
-    pushing shutdown sentinels through the shared request queue (each
-    retires exactly one replica, lazily — the sentinel queues behind
-    in-flight requests).  Pass ``autoscale=AutoscalePolicy(...)`` to
-    drive it automatically from observed queue depth and shed rate
-    with hysteresis; the controller's decisions show up under
-    ``stats()["autoscale"]``.
+    :meth:`scale_to` grows the pool by starting worker+replica pairs and
+    shrinks it by retiring them: a retired worker finishes the batch in
+    hand, leaves the shared queue to the survivors, and shuts its
+    replica down.  Pass ``autoscale=AutoscalePolicy(...)`` to drive it
+    automatically from queue depth and shed count with hysteresis; the
+    controller's decisions show up under ``stats()["autoscale"]``.
     """
+
+    metrics_component = "replica_server"
 
     def __init__(
         self,
@@ -854,91 +943,41 @@ class ProcessReplicaServer:
         start_timeout: float = 60.0,
         autoscale=None,
     ):
-        from repro.api.serving import ModelHandle
-
         if replicas < 1:
             raise ValueError(f"replicas must be >= 1, got {replicas}")
-        self.bundle_path = str(bundle_path)
-        self.autoscale = autoscale
         if autoscale is not None:
             replicas = max(
                 autoscale.min_replicas, min(autoscale.max_replicas, replicas)
             )
-        self.replicas = int(replicas)
-        self.max_batch_size = int(max_batch_size)
-        self.max_wait_ms = float(max_wait_ms)
-        self.max_queue = int(max_queue)
+        # The parent's own mapped handle validates ids at submit — and
+        # loading it pre-builds the sidecars, so replicas map instead of
+        # racing to export.
+        super().__init__(
+            bundle_path,
+            max_batch_size=max_batch_size,
+            max_wait_ms=max_wait_ms,
+            max_queue=max_queue,
+            num_workers=replicas,
+        )
+        self.bundle_path = str(bundle_path)
+        self.autoscale = autoscale
         self.start_timeout = float(start_timeout)
-        # The parent's own mapped handle: used only for request
-        # validation — and it pre-builds the sidecars, so replicas map
-        # instead of racing to export.
-        self.handle = ModelHandle.load(self.bundle_path)
-        self._ctx = multiprocessing.get_context("spawn")
-        self._request_queue = None
-        self._response_queue = None
-        self._collector: Optional[threading.Thread] = None
+        self._mp = multiprocessing.get_context("spawn")
         self._autoscaler = None
-        self._stop = threading.Event()
-        # Replica-pool bookkeeping: submitters, the autoscaler thread,
-        # and stats() readers all look at the pool, so it gets its own
-        # (reentrant — helpers re-enter) lock.
-        self._scale_lock = threading.RLock()
-        self._processes: List = []  # guarded-by: _scale_lock
-        self._pending_retire = 0  # guarded-by: _scale_lock
-        # In-flight bookkeeping shared between submitters and the
-        # collector thread (lock-discipline enforced, as in ModelServer).
-        self._futures_lock = threading.Lock()
-        self._futures: Dict[int, PredictionFuture] = {}  # guarded-by: _futures_lock
-        self._next_id = 0  # guarded-by: _futures_lock
-        self.shed = 0  # guarded-by: _futures_lock
-        self._counters = {  # guarded-by: _futures_lock
-            "requests": 0, "answered": 0, "failed": 0,
+        # Serializes whole resize decisions (scale_to vs scale_to).
+        self._scale_lock = threading.Lock()
+        self._scale_events = {  # guarded-by: _lock
             "scale_ups": 0, "scale_downs": 0,
         }
-        self._started_at: Optional[float] = None  # guarded-by: _futures_lock
-        self._stopped_at: Optional[float] = None  # guarded-by: _futures_lock
-        self._obs = obs_metrics.REGISTRY.register(
-            "replica_server", self._collect_metrics
-        )
 
-    # ------------------------------------------------------------- #
-    # Lifecycle
-    # ------------------------------------------------------------- #
+    def _worker_handle(self, worker: _Worker) -> _Replica:
+        return _Replica(self._mp, self.bundle_path, on_lost=worker.retired.set)
 
-    def _spawn_replica(self) -> None:
-        """Add one replica process to the pool (callers hold no locks)."""
-        process = self._ctx.Process(
-            target=_replica_loop,
-            args=(
-                self.bundle_path,
-                self._request_queue,
-                self._response_queue,
-                self.max_batch_size,
-                self.max_wait_ms,
-            ),
-            daemon=True,
-        )
-        process.start()
-        with self._scale_lock:
-            self._processes.append(process)
+    def _release_worker_handle(self, handle: _Replica) -> None:
+        handle.close()
 
     def start(self) -> "ProcessReplicaServer":
-        with self._scale_lock:
-            running = bool(self._processes)
-        if running:
-            return self
-        self._stop.clear()
-        with self._futures_lock:
-            self._started_at = time.perf_counter()
-            self._stopped_at = None
-        self._request_queue = self._ctx.Queue()
-        self._response_queue = self._ctx.Queue()
-        for _ in range(self.replicas):
-            self._spawn_replica()
-        self._collector = threading.Thread(
-            target=self._collect_loop, name="repro-serve-collector", daemon=True
-        )
-        self._collector.start()
+        super().start()
         if self.autoscale is not None:
             from repro.serve.autoscale import ReplicaAutoscaler
 
@@ -948,81 +987,37 @@ class ProcessReplicaServer:
         return self
 
     def stop(self, timeout: float = 10.0) -> None:
-        """Retire every replica and fail all in-flight requests.
-
-        Idempotent: safe on a never-started server (``_request_queue``
-        still ``None``) and safe to call twice.  Freezes the telemetry
-        clock, and terminates replicas that outlive ``timeout`` so a
-        later :meth:`start` never runs two replica generations against
-        one queue.
-        """
         if self._autoscaler is not None:
             self._autoscaler.stop()
-        with self._scale_lock:
-            processes = list(self._processes)
-            self._processes.clear()
-            self._pending_retire = 0
-        if self._request_queue is not None:
-            for _ in processes:
-                self._request_queue.put(None)
-        for process in processes:
-            process.join(timeout)
-            if process.is_alive():
-                process.terminate()
-        self._stop.set()
-        with self._futures_lock:
-            if self._started_at is not None and self._stopped_at is None:
-                self._stopped_at = time.perf_counter()
-        if self._collector is not None:
-            self._collector.join(timeout)
-            self._collector = None
-        self._fail_pending()
+        super().stop(timeout)
 
-    def _fail_pending(self) -> None:
-        """Fail every in-flight future so no caller blocks forever."""
-        with self._futures_lock:
-            pending = list(self._futures.values())
-            self._futures.clear()
-            self._counters["failed"] += len(pending)
-        for future in pending:
-            future._finish(error=RuntimeError("server stopped"))
-
-    def __enter__(self) -> "ProcessReplicaServer":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
+    def ingest(self, delta, pipeline=None):
+        raise NotImplementedError(
+            "replicas serve the bundle as saved; live ingest needs a "
+            "ModelServer over the pipeline's handle"
+        )
 
     # ------------------------------------------------------------- #
     # Elastic replica pool
     # ------------------------------------------------------------- #
 
-    def _reap(self) -> None:
-        """Drop exited replicas from the pool (retired or crashed)."""
-        with self._scale_lock:
-            before = len(self._processes)
-            self._processes[:] = [
-                p for p in self._processes if p.is_alive()
-            ]
-            died = before - len(self._processes)
-            if died:
-                self._pending_retire = max(0, self._pending_retire - died)
+    def _serving_workers(self) -> List[_Worker]:
+        """Live workers not yet told to retire."""
+        return [w for w in self._live_workers() if not w.retired.is_set()]
 
     def live_replicas(self) -> int:
-        """Replicas currently alive (after reaping exited ones)."""
-        self._reap()
-        with self._scale_lock:
-            return len(self._processes)
+        """Worker+replica pairs currently alive (retiring ones included)."""
+        return len(self._live_workers())
 
     def scale_to(self, count: int) -> int:
-        """Grow or shrink the replica pool toward ``count``; returns it.
+        """Grow or shrink the pool toward ``count`` pairs; returns it.
 
-        Growth spawns immediately; shrink pushes one shutdown sentinel
-        per retired replica through the shared queue, so it lands only
-        after the requests queued ahead of it — capacity never drops
-        out from under admitted work.  ``count`` is clamped to the
-        autoscale policy's ``[min_replicas, max_replicas]`` when one is
-        attached, else to ``>= 1``.
+        Growth starts pairs immediately; shrink retires the newest ones,
+        each after the batch in hand — admitted work stays queued for
+        the survivors, so capacity never drops out from under it.
+        ``count`` is clamped to the autoscale policy's
+        ``[min_replicas, max_replicas]`` when one is attached, else must
+        be ``>= 1``.
         """
         count = int(count)
         if self.autoscale is not None:
@@ -1032,160 +1027,38 @@ class ProcessReplicaServer:
             )
         if count < 1:
             raise ValueError(f"replica count must be >= 1, got {count}")
-        if self._request_queue is None:
-            raise RuntimeError("server is not running; call start() first")
-        self._reap()
-        retire = 0
         with self._scale_lock:
-            effective = len(self._processes) - self._pending_retire
-            delta = count - effective
-            if delta < 0:
-                retire = -delta
-                self._pending_retire += retire
-        # The sentinel puts stay outside _scale_lock: put() on the shared
-        # multiprocessing queue can block on pipe backpressure, and
-        # blocking there would stall submit()'s running-check and the
-        # autoscaler tick behind a full queue.  _pending_retire is
-        # already bumped under the lock, so a concurrent scale_to sees
-        # the correct effective capacity before the sentinels land.
-        for _ in range(retire):
-            self._request_queue.put(None)
-        if delta > 0:
-            for _ in range(delta):
-                self._spawn_replica()
-        if delta:
-            with self._futures_lock:
-                if delta > 0:
-                    self._counters["scale_ups"] += 1
-                else:
-                    self._counters["scale_downs"] += 1
+            serving = self._serving_workers()
+            if not serving or self._stop.is_set():
+                raise RuntimeError("server is not running; call start() first")
+            for worker in serving[count:]:
+                worker.retired.set()
+            for _ in range(count - len(serving)):
+                self._add_worker()
+            if count != len(serving):
+                event = "scale_ups" if count > len(serving) else "scale_downs"
+                with self._lock:
+                    self._scale_events[event] += 1
         return count
 
     def autoscale_signals(self) -> Dict[str, float]:
         """The controller's inputs: queue depth, shed total, pool size."""
-        with self._futures_lock:
-            queue_depth = len(self._futures)
-            shed_total = self.shed
-        self._reap()
-        with self._scale_lock:
-            replicas = len(self._processes) - self._pending_retire
+        with self._lock:
+            shed_total = self._counters["shed"]
         return {
-            "queue_depth": float(queue_depth),
+            "queue_depth": float(self._queue.qsize()),
             "shed_total": float(shed_total),
-            "replicas": float(max(1, replicas)),
+            "replicas": float(max(1, len(self._serving_workers()))),
         }
 
-    # ------------------------------------------------------------- #
-    # Request surface
-    # ------------------------------------------------------------- #
-
-    def submit(self, ids, proba: bool = False) -> PredictionFuture:
-        """Admit one request (validated with the handle's own errors).
-
-        Sheds with :class:`ServerOverloaded` once ``max_queue`` requests
-        are in flight — the bounded-work guarantee of the thread server,
-        kept here by bounding the unanswered-futures set (the
-        multiprocessing queue itself cannot reject without blocking).
-        """
-        with self._scale_lock:
-            running = bool(self._processes)
-        if not running:
-            raise RuntimeError("server is not running; call start() first")
-        checked = self.handle.check_ids(ids)
-        future = PredictionFuture()
-        with self._futures_lock:
-            if len(self._futures) >= self.max_queue:
-                self.shed += 1
-                raise ServerOverloaded(
-                    f"{self.max_queue} requests in flight; shedding load"
-                )
-            request_id = self._next_id
-            self._next_id += 1
-            self._futures[request_id] = future
-            self._counters["requests"] += 1
-        ctx = TRACER.current_context() if TRACER.enabled else None
-        self._request_queue.put(
-            (request_id, checked, bool(proba), tuple(ctx) if ctx else None)
-        )
-        if self._stop.is_set():
-            # stop() may have drained the futures map between our
-            # registration and the put: fail anything stranded
-            # (possibly this request) — mirrors ModelServer.submit.
-            self._fail_pending()
-        return future
-
-    def predict_nodes(self, ids, timeout: Optional[float] = None) -> np.ndarray:
-        return self.submit(ids, proba=False).result(timeout)
-
-    def predict_proba_nodes(
-        self, ids, timeout: Optional[float] = None
-    ) -> np.ndarray:
-        return self.submit(ids, proba=True).result(timeout)
-
-    # ------------------------------------------------------------- #
-    # Telemetry
-    # ------------------------------------------------------------- #
-
-    def stats(self) -> Dict[str, object]:
-        """Counters, pool shape, and throughput (frozen after stop).
-
-        Thin view over this server's registry registration
-        (``repro_replica_server_*`` in ``GET /metrics``); all
-        futures-guarded fields are read under one lock hold.
-        """
-        return self._obs.read()
-
     def _collect_metrics(self) -> Dict[str, object]:
-        """Registry collector; :meth:`stats` is a thin view over it."""
-        with self._futures_lock:
-            counters = dict(self._counters)
-            counters["shed"] = self.shed
-            in_flight = len(self._futures)
-            started_at = self._started_at
-            stopped_at = self._stopped_at
-        self._reap()
-        with self._scale_lock:
-            live = len(self._processes)
-            pending_retire = self._pending_retire
-        if started_at is None:
-            elapsed = 0.0
-        else:
-            end = stopped_at if stopped_at is not None else time.perf_counter()
-            elapsed = max(0.0, end - started_at)
-        out: Dict[str, object] = dict(counters)
-        out["in_flight"] = in_flight
-        out["replicas"] = live
-        out["pending_retire"] = pending_retire
-        out["uptime_seconds"] = elapsed
-        out["throughput_rps"] = (
-            counters["answered"] / elapsed if elapsed > 0 else 0.0
-        )
+        """ModelServer's stats plus the pool shape and scaling history."""
+        out = super()._collect_metrics()
+        with self._lock:
+            out.update(self._scale_events)
+            live = [w for w in self._workers if w.alive()]
+        out["replicas"] = len(live)
+        out["pending_retire"] = sum(w.retired.is_set() for w in live)
         if self._autoscaler is not None:
             out["autoscale"] = self._autoscaler.stats()
         return out
-
-    # ------------------------------------------------------------- #
-    # Collector
-    # ------------------------------------------------------------- #
-
-    def _collect_loop(self) -> None:
-        while not self._stop.is_set():
-            try:
-                request_id, ok, payload = self._response_queue.get(timeout=0.1)
-            except queue.Empty:
-                continue
-            except (EOFError, OSError):
-                return
-            with self._futures_lock:
-                future = self._futures.pop(request_id, None)
-                if future is not None:
-                    if ok:
-                        self._counters["answered"] += 1
-                    else:
-                        self._counters["failed"] += 1
-            if future is None:
-                continue
-            if ok:
-                future._finish(value=payload)
-            else:
-                future._finish(error=RuntimeError(payload))

@@ -6,8 +6,9 @@ tiers, fingerprint completeness in the staged pipeline, determinism of
 content-key inputs, canonical CSR construction, plus the
 interprocedural tier — lock acquisition order, blocking-under-lock,
 and future resolution.  Any unsuppressed finding in ``src``, ``tests``,
-``benchmarks``, or ``examples`` fails this test with the analyzer's own
-rendering — the same output ``python -m repro.analysis`` prints.
+``benchmarks``, ``examples``, or ``perfbench`` fails this test with the
+analyzer's own rendering — the same output ``python -m repro.analysis``
+prints.
 
 The gate shares the CLI's content-hash cache
 (``.repro-analysis-cache.json`` at the repo root), so only files whose
@@ -23,7 +24,7 @@ from repro.analysis import AnalysisCache, analyze_paths
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: The trees the gate covers (must mirror ``repro.analysis.__main__``).
-GATED_PATHS = ("src", "tests", "benchmarks", "examples")
+GATED_PATHS = ("src", "tests", "benchmarks", "examples", "perfbench")
 
 
 def test_repo_tree_has_zero_findings():

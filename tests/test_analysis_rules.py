@@ -823,23 +823,26 @@ class TestFutureResolution:
 
     def test_reverting_pr8_stop_recheck_is_caught(self):
         # Regression gate: the real server must be clean today, and
-        # deleting ProcessReplicaServer.submit's post-put stop re-check
-        # (the PR-8 fix) must be caught statically.
+        # deleting ModelServer.submit's post-put stop re-check (the
+        # stranded-caller fix; both server classes share that one
+        # submit) must be caught statically.
         server_py = REPO_ROOT / "src" / "repro" / "serve" / "server.py"
         text = server_py.read_text()
         assert run_rule(FutureResolutionRule(), server_py) == []
+        assert text.count("    def submit(") == 1, "expected one submit"
         recheck = re.compile(
             r"        if self\._stop\.is_set\(\):\n"
             r"(?:            #.*\n)*"
             r"            self\._fail_pending\(\)\n"
-            r"(?=        return future\n)"
         )
         reverted, count = recheck.subn("", text)
-        assert count == 1, "ProcessReplicaServer.submit re-check not found"
+        assert count == 1, "ModelServer.submit re-check not found"
         source = SourceFile(server_py, reverted)
         findings = list(FutureResolutionRule().check(source))
         assert any(
-            f.rule == "future-resolution" and "_request_queue" in f.message
+            f.rule == "future-resolution"
+            and "self._queue" in f.message
+            and "stop" in f.message
             for f in findings
         )
 

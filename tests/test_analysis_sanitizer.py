@@ -42,6 +42,18 @@ from repro.serve import ModelServer
 THREADS = 8
 
 
+class _GuardedBase:
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._items = {}  # guarded-by: _lock
+
+
+class _GuardedChild(_GuardedBase):
+    def __init__(self):
+        super().__init__()
+        self._extra = {}  # guarded-by: _lock
+
+
 def run_threads(count, target):
     """Run ``target(index)`` on ``count`` threads, re-raising failures."""
     errors = []
@@ -168,6 +180,15 @@ class TestDetectors:
         second = instrument(sanitizer, cache)
         assert first["_lock"] is second["_lock"]
         assert isinstance(cache._entries, GuardedOrderedDict)
+
+    def test_instrument_covers_inherited_guards(self):
+        # A subclass instance (ProcessReplicaServer is a ModelServer) is
+        # traced for its base classes' annotations as well as its own.
+        sanitizer = ThreadSanitizer()
+        child = _GuardedChild()
+        instrument(sanitizer, child)
+        assert isinstance(child._items, GuardedDict)
+        assert isinstance(child._extra, GuardedDict)
 
     def test_guarded_dict_checks_reads_and_writes(self):
         sanitizer = ThreadSanitizer()

@@ -15,6 +15,8 @@ Covers the `repro.api` acceptance contract:
   quickstart works verbatim through the deprecation shim.
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,40 @@ class TestStagedPrep:
         stages = [event.stage for event in pipe.stage_log]
         assert stages == ["discover", "compose", "enumerate", "featurize"]
         assert all(event.action == "computed" for event in pipe.stage_log)
+
+    def test_stage_seconds_exclude_upstream_stages(
+        self, dblp_tiny, tiny_config
+    ):
+        """prepare() enters featurize, whose build runs enumerate, whose
+        build runs compose: each event must time only its own stage."""
+        pipe = Pipeline(dblp_tiny, config=tiny_config)
+        upstream_s = {}
+
+        def slowed(stage):
+            original = getattr(pipe, stage)
+
+            def run():
+                started = time.perf_counter()
+                time.sleep(0.3)  # upstream cost the caller must not log
+                try:
+                    return original()
+                finally:
+                    upstream_s[stage] = time.perf_counter() - started
+
+            setattr(pipe, stage, run)
+
+        slowed("compose")
+        slowed("enumerate")
+        started = time.perf_counter()
+        pipe.prepare()
+        wall = time.perf_counter() - started
+        seconds = {event.stage: event.seconds for event in pipe.stage_log}
+        assert set(upstream_s) == {"compose", "enumerate"}
+        assert seconds["featurize"] <= wall - upstream_s["enumerate"]
+        assert 0.0 < seconds["enumerate"] <= (
+            upstream_s["enumerate"] - upstream_s["compose"] - 0.3
+        )
+        assert 0.0 < seconds["compose"] <= upstream_s["compose"] - 0.3
 
     def test_staged_prep_is_deterministic(self, dblp_tiny, tiny_config):
         data_a = Pipeline(dblp_tiny, config=tiny_config).prepare()

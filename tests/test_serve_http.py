@@ -359,6 +359,33 @@ class TestHttpIngest:
         body = client._request("POST", "/predict", {"ids": [1]})
         assert body["generation"] == generation_before + 1
 
+    def test_reported_generation_is_the_answers_own(self, live_stack):
+        """A refresh landing between the answer and the response must not
+        relabel it: the wire carries the generation the answer came from
+        (the cache key's on a hot-cache hit, else the batch's own)."""
+        server, _, client, pipeline = live_stack
+        body = {"ids": [5, 6]}
+        client._request("POST", "/predict", body)  # cached at this generation
+        hits_before = server.stats()["cache_hits"]
+        original_submit = server.submit
+
+        def submit_then_refresh(ids, proba=False):
+            future = original_submit(ids, proba=proba)
+            future.result(10.0)
+            server.handle.refresh(pipeline.data)
+            return future
+
+        server.submit = submit_then_refresh
+        try:
+            for route in ("/predict", "/predict_proba"):  # a hit, then a batch
+                answered_on = server.handle.generation
+                reply = client._request("POST", route, body)
+                assert server.handle.generation == answered_on + 1
+                assert reply["generation"] == answered_on
+        finally:
+            del server.submit
+        assert server.stats()["cache_hits"] == hits_before + 1
+
 
 # ---------------------------------------------------------------------- #
 # 5. Adaptive micro-batching

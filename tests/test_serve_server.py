@@ -6,9 +6,9 @@ What must hold:
    behave identically (results *and* error messages) on the sequential
    path, the batched union path, and through the server.
 2. **Batched equivalence** — ``forward_many`` / ``predict_nodes_batch``
-   answer bit-identically to per-request calls; a bad request in a
-   planner batch is answered with its own error without perturbing the
-   others.
+   answer bit-identically to per-request calls; a bad request is
+   rejected at submit with its own error without perturbing the batch
+   its neighbours share.
 3. **Server behavior** — concurrent queries through
    :class:`repro.serve.ModelServer` match sequential ``ModelHandle``
    answers bit-exactly; the micro-batcher actually coalesces; the
@@ -35,7 +35,6 @@ from repro.core import ConCHConfig
 from repro.data import DBLPConfig, load_dataset, stratified_split
 from repro.hin.cache import is_mmap_backed
 from repro.serve import (
-    BatchPlanner,
     ModelServer,
     ProcessReplicaServer,
     ServeClient,
@@ -178,32 +177,6 @@ class TestBatchedEquivalence:
         with pytest.raises(IndexError):
             handle.forward_many([np.array([0]), np.array([10 ** 9])])
 
-    def test_planner_isolates_errors_per_request(self, handle):
-        requests = [
-            np.array([3, 3]),
-            np.array([handle.num_objects + 5]),   # out of range
-            (np.array([1]), True),                # proba request
-            np.array([0.5]),                      # wrong dtype
-        ]
-        answers = BatchPlanner(handle).run(requests)
-        np.testing.assert_array_equal(
-            answers[0], handle.predict_nodes([3, 3])
-        )
-        assert isinstance(answers[1], IndexError)
-        assert str(answers[1]) == (
-            f"node ids out of range [0, {handle.num_objects})"
-        )
-        np.testing.assert_allclose(
-            answers[2], handle.predict_proba_nodes([1]),
-            rtol=1e-12, atol=1e-14,
-        )
-        assert isinstance(answers[3], TypeError)
-
-    def test_planner_all_invalid_batch(self, handle):
-        answers = BatchPlanner(handle).run([np.array([-1]), np.array([0.5])])
-        assert isinstance(answers[0], IndexError)
-        assert isinstance(answers[1], TypeError)
-
 
 # ---------------------------------------------------------------------- #
 # 3. The micro-batching server
@@ -274,18 +247,43 @@ class TestModelServer:
             # Rejected requests never count as admitted.
             assert server.stats()["requests"] == 0
 
+    def test_invalid_requests_leave_their_batch_untouched(self, handle):
+        """Per-request isolation: bad requests interleaved with good ones
+        are rejected at submit with their own errors, and the good ones
+        (labels and proba) still share one batch and answer exactly."""
+        with ModelServer(handle, max_wait_ms=200, num_workers=1) as server:
+            labels = server.submit(np.array([3, 3]))
+            with pytest.raises(IndexError) as excinfo:
+                server.submit(np.array([handle.num_objects + 5]))
+            assert str(excinfo.value) == (
+                f"node ids out of range [0, {handle.num_objects})"
+            )
+            proba = server.submit(np.array([1]), proba=True)
+            with pytest.raises(TypeError):
+                server.submit(np.array([0.5]))
+            np.testing.assert_array_equal(
+                labels.result(10.0), handle.predict_nodes([3, 3])
+            )
+            np.testing.assert_allclose(
+                proba.result(10.0), handle.predict_proba_nodes([1]),
+                rtol=1e-12, atol=1e-14,
+            )
+            stats = server.stats()
+        assert stats["requests"] == stats["answered"] == 2
+        assert stats["batches"] == 1
+
     def test_bounded_queue_sheds_load(self, handle):
         server = ModelServer(
             handle, max_batch_size=1, max_wait_ms=0, max_queue=2,
             num_workers=1,
         )
-        original_run = server.planner.run
+        original_serve = server._serve_batch
 
-        def slow_run(requests, **kwargs):
+        def slow_serve(*args, **kwargs):
             time.sleep(0.15)
-            return original_run(requests, **kwargs)
+            return original_serve(*args, **kwargs)
 
-        server.planner.run = slow_run
+        server._serve_batch = slow_serve
         admitted = []
         shed = 0
         with server:
@@ -306,13 +304,13 @@ class TestModelServer:
             handle, max_batch_size=4, max_wait_ms=0, max_queue=1,
             num_workers=1,
         )
-        original_run = server.planner.run
+        original_serve = server._serve_batch
 
-        def slow_run(requests, **kwargs):
+        def slow_serve(*args, **kwargs):
             time.sleep(0.05)
-            return original_run(requests, **kwargs)
+            return original_serve(*args, **kwargs)
 
-        server.planner.run = slow_run
+        server._serve_batch = slow_serve
         with server:
             client = ServeClient(server, retries=50, backoff_s=0.02)
             answers = client.predict_many(
@@ -332,17 +330,6 @@ class TestModelServer:
         assert stats["throughput_rps"] > 0
         assert set(stats["latency_seconds"]) == {"mean", "p50", "p95", "max"}
         assert stats["latency_seconds"]["max"] >= stats["latency_seconds"]["p50"]
-
-    def test_stop_fails_pending_requests_fast(self, handle):
-        server = ModelServer(handle, max_wait_ms=0, num_workers=1)
-        server.start()
-        server._stop.set()  # wedge the scheduler before submitting
-        for thread in server._threads:
-            thread.join()
-        future = server.submit(np.array([1]))
-        server.stop()
-        with pytest.raises(RuntimeError, match="server stopped"):
-            future.result(1.0)
 
     def test_submit_before_start_raises(self, handle):
         server = ModelServer(handle)
@@ -404,17 +391,36 @@ class TestMappedBundles:
         )
 
     def test_process_server_sheds_beyond_max_queue(self, bundle_path):
-        """Admission control parity with ModelServer: in-flight requests
-        are bounded; overflow sheds instead of growing without bound."""
-        import queue as _queue
+        """Admission control is ModelServer's: queued requests are
+        bounded; overflow sheds instead of growing without bound."""
+        server = ProcessReplicaServer(
+            bundle_path, replicas=1, max_batch_size=1, max_wait_ms=0,
+            max_queue=1,
+        )
+        entered = threading.Event()
+        release = threading.Event()
+        original_serve = server._serve_batch
 
-        server = ProcessReplicaServer(bundle_path, replicas=1, max_queue=1)
-        server._processes = [object()]        # pretend started ...
-        server._request_queue = _queue.Queue()  # ... with no live replica
-        server.submit([0])                      # fills the in-flight slot
-        with pytest.raises(ServerOverloaded):
-            server.submit([1])
-        assert server.shed == 1
+        def held_serve(*args, **kwargs):
+            entered.set()
+            release.wait(30.0)
+            return original_serve(*args, **kwargs)
+
+        server._serve_batch = held_serve
+        with server:
+            claimed = server.submit([0])        # the worker holds this one
+            assert entered.wait(60.0)
+            queued = server.submit([1])         # fills the one queue slot
+            with pytest.raises(ServerOverloaded):
+                server.submit([2])
+            release.set()
+            np.testing.assert_array_equal(
+                claimed.result(60.0), server.handle.predict_nodes([0])
+            )
+            np.testing.assert_array_equal(
+                queued.result(60.0), server.handle.predict_nodes([1])
+            )
+            assert server.stats()["shed"] == 1
 
     def test_process_replica_server_matches_parent(self, bundle_path, handle):
         requests = request_mix(handle, count=6)
