@@ -22,8 +22,15 @@ and per-node serving::
 
     pipe = api.Pipeline("dblp", store_dir="runs/dblp")
     est = pipe.fit(train_fraction=0.2)      # rerun -> all stages skip
-    est.save("conch.npz")
+    est.save("conch.npz")                   # one self-contained bundle
     api.ModelHandle.load("conch.npz").predict_nodes([0, 7])
+    api.load_estimator("conch.npz").predict()   # heap reload, same answers
+
+Everything the library saves — bundles, stage artifacts, cached
+products, model checkpoints — is one archive format (an uncompressed
+``.npz`` with a JSON header; :func:`repro.hin.cache.write_archive` /
+:func:`~repro.hin.cache.read_archive`).  ``ModelHandle.load`` maps a
+bundle through a replica it builds on first load in ``conch.npz.mmap/``.
 
 Under traffic, front the handle with the serving subsystem
 (:mod:`repro.serve`): a micro-batching ``ModelServer`` coalesces

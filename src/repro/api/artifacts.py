@@ -9,11 +9,13 @@ fingerprint of exactly the config fields that influence the stage (see
 a rerun (or a second process sharing the store directory) loads the
 artifact instead of recomputing the stage.
 
-Persistence reuses the repo's one archive idiom (uncompressed ``.npz``
-with a JSON ``__header`` — the same layout as
-:mod:`repro.core.serialize` and :class:`repro.hin.cache.ProductStore`):
-numeric payloads round-trip bit-exactly, headers carry the key and
-shape metadata, and a corrupt or stale file reads as a miss.
+Every artifact is one archive of the repo's single format
+(:func:`repro.hin.cache.write_archive` / :func:`~repro.hin.cache.read_archive`,
+CSR via :func:`~repro.hin.cache.pack_csr`), the same format as
+:class:`~repro.hin.cache.ProductStore` products, estimator bundles and
+:mod:`repro.core.serialize` checkpoints: numeric payloads round-trip
+bit-exactly, headers carry the key and shape metadata, and a corrupt or
+stale file reads as a miss.  Artifacts are read onto the heap.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -31,15 +32,17 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.core.config import ConCHConfig
-from repro.hin.cache import ARCHIVE_MISS_ERRORS
+from repro.hin.cache import (
+    ARCHIVE_MISS_ERRORS,
+    pack_csr,
+    read_archive,
+    unpack_csr,
+    write_archive,
+)
 
 #: Bumped when any artifact archive layout changes; mismatches are misses.
-FORMAT_VERSION = 1
-
-#: The corrupt-archive exception set every loader in this repo treats as
-#: a cache miss — one definition, shared with the cache tier
-#: (:data:`repro.hin.cache.ARCHIVE_MISS_ERRORS`).
-ARCHIVE_ERRORS = ARCHIVE_MISS_ERRORS
+#: (2: CSR members are canonical on disk and load without re-sorting.)
+FORMAT_VERSION = 2
 
 #: Config fields that influence each stage's output, cumulatively: a
 #: stage's fingerprint covers its own fields plus every upstream stage's
@@ -138,65 +141,32 @@ def supervision_hash(dataset) -> str:
     return digest.hexdigest()[:16]
 
 
-# ---------------------------------------------------------------------- #
-# npz plumbing (shared by every artifact)
-# ---------------------------------------------------------------------- #
+class _Artifact:
+    """The loader every stage artifact shares (subclasses set ``kind``
+    and build themselves in ``_from_archive(header, arrays)``)."""
 
+    kind = ""
 
-def _pack_csr(arrays: Dict[str, np.ndarray], prefix: str, matrix: sp.spmatrix) -> None:
-    matrix = sp.csr_matrix(matrix)
-    arrays[f"{prefix}/data"] = matrix.data
-    arrays[f"{prefix}/indices"] = matrix.indices
-    arrays[f"{prefix}/indptr"] = matrix.indptr
-    arrays[f"{prefix}/shape"] = np.asarray(matrix.shape, dtype=np.int64)
+    @classmethod
+    def load(cls, path: Path):
+        """The artifact stored at ``path``, or None on any miss.
 
-
-def _unpack_csr(archive, prefix: str) -> sp.csr_matrix:
-    matrix = sp.csr_matrix(
-        (
-            archive[f"{prefix}/data"],
-            archive[f"{prefix}/indices"],
-            archive[f"{prefix}/indptr"],
-        ),
-        shape=tuple(int(s) for s in archive[f"{prefix}/shape"]),
-    )
-    matrix.sort_indices()
-    return matrix
-
-
-def _write_archive(path: Path, header: dict, arrays: Dict[str, np.ndarray]) -> None:
-    """Atomic uncompressed npz write (same contract as ProductStore)."""
-    payload = dict(arrays)
-    payload["__header"] = np.array(json.dumps(header))
-    tmp_path = path.with_name(f"{path.stem}.{os.getpid()}.tmp")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(tmp_path, "wb") as handle:
-        np.savez(handle, **payload)
-    tmp_path.replace(path)
-
-
-def _read_header(
-    path: Path,
-    version_field: str = "format_version",
-    expected_version: int = FORMAT_VERSION,
-) -> Optional[dict]:
-    """JSON header of an artifact/bundle archive; None on any miss.
-
-    Corrupt, truncated, non-zip, or version-mismatched files all read
-    as misses — the one contract every store in this repo shares.
-    ``version_field``/``expected_version`` let estimator bundles (which
-    carry ``bundle_format_version``) share this implementation.
-    """
-    try:
-        with np.load(path, allow_pickle=False) as archive:
-            if "__header" not in archive.files:
-                return None
-            header = json.loads(str(archive["__header"]))
-    except ARCHIVE_ERRORS:
-        return None
-    if header.get(version_field) != expected_version:
-        return None
-    return header
+        A corrupt file, a version or kind mismatch, and an intact header
+        over missing or torn members all read as misses: the pipeline
+        recomputes the stage instead of crashing.
+        """
+        loaded = read_archive(path)
+        if loaded is None:
+            return None
+        header, arrays = loaded
+        if header.get("format_version") != FORMAT_VERSION:
+            return None
+        if header.get("kind") != cls.kind:
+            return None
+        try:
+            return cls._from_archive(header, arrays)
+        except ARCHIVE_MISS_ERRORS:
+            return None
 
 
 # ---------------------------------------------------------------------- #
@@ -205,7 +175,7 @@ def _read_header(
 
 
 @dataclass
-class MetaPathPlan:
+class MetaPathPlan(_Artifact):
     """``discover`` output: the meta-path set the pipeline will run on."""
 
     key: str
@@ -239,13 +209,10 @@ class MetaPathPlan:
             "names": self.names,
             "source": self.source,
         }
-        _write_archive(path, header, {})
+        write_archive(path, header, {})
 
     @classmethod
-    def load(cls, path: Path) -> Optional["MetaPathPlan"]:
-        header = _read_header(path)
-        if header is None or header.get("kind") != cls.kind:
-            return None
+    def _from_archive(cls, header, arrays) -> "MetaPathPlan":
         return cls(
             key=header["key"],
             node_types=[tuple(t) for t in header["node_types"]],
@@ -255,7 +222,7 @@ class MetaPathPlan:
 
 
 @dataclass
-class ComposeReport:
+class ComposeReport(_Artifact):
     """``compose`` output: which commuting products back this plan.
 
     The matrices themselves live in the :class:`CommutingEngine` (and its
@@ -284,13 +251,10 @@ class ComposeReport:
             "compose_seconds": [float(s) for s in self.compose_seconds],
             "composed": int(self.composed),
         }
-        _write_archive(path, header, {})
+        write_archive(path, header, {})
 
     @classmethod
-    def load(cls, path: Path) -> Optional["ComposeReport"]:
-        header = _read_header(path)
-        if header is None or header.get("kind") != cls.kind:
-            return None
+    def _from_archive(cls, header, arrays) -> "ComposeReport":
         return cls(
             key=header["key"],
             product_keys=[tuple(k) for k in header["product_keys"]],
@@ -301,7 +265,7 @@ class ComposeReport:
 
 
 @dataclass
-class ContextSet:
+class ContextSet(_Artifact):
     """``enumerate`` output: retained pairs + flat context batches.
 
     One entry per meta-path: the neighbor filter's retained ``(u, v)``
@@ -358,32 +322,21 @@ class ContextSet:
             "num_metapaths": self.num_metapaths,
             "has_batch": has_batch,
         }
-        _write_archive(path, header, arrays)
+        write_archive(path, header, arrays)
 
     @classmethod
-    def load(cls, path: Path) -> Optional["ContextSet"]:
-        header = _read_header(path)
-        if header is None or header.get("kind") != cls.kind:
-            return None
+    def _from_archive(cls, header, arrays) -> "ContextSet":
         pairs, ids, indptr, totals, truncated = [], [], [], [], []
-        try:
-            with np.load(path, allow_pickle=False) as archive:
-                for i in range(int(header["num_metapaths"])):
-                    pairs.append(archive[f"mp{i}/pairs"])
-                    if header["has_batch"][i]:
-                        ids.append(archive[f"mp{i}/instance_ids"])
-                        indptr.append(archive[f"mp{i}/indptr"])
-                        totals.append(archive[f"mp{i}/total_counts"])
-                        truncated.append(archive[f"mp{i}/truncated"])
-                    else:
-                        ids.append(None)
-                        indptr.append(None)
-                        totals.append(None)
-                        truncated.append(None)
-        except ARCHIVE_ERRORS:
-            # Intact header over corrupt members (bit rot, torn copy):
-            # same contract as a corrupt header — read as a miss.
-            return None
+        for i in range(int(header["num_metapaths"])):
+            pairs.append(arrays[f"mp{i}/pairs"])
+            has_batch = header["has_batch"][i]
+            for name, out in (
+                ("instance_ids", ids),
+                ("indptr", indptr),
+                ("total_counts", totals),
+                ("truncated", truncated),
+            ):
+                out.append(arrays[f"mp{i}/{name}"] if has_batch else None)
         return cls(
             key=header["key"],
             pairs=pairs,
@@ -395,7 +348,7 @@ class ContextSet:
 
 
 @dataclass
-class FeatureSet:
+class FeatureSet(_Artifact):
     """``featurize`` output: everything the trainer consumes.
 
     Per meta-path: the object×context incidence, the Eq.-3 context
@@ -462,8 +415,8 @@ class FeatureSet:
     def save(self, path: Path) -> None:
         arrays: Dict[str, np.ndarray] = {}
         for i in range(len(self.metapath_names)):
-            _pack_csr(arrays, f"mp{i}/incidence", self.incidence[i])
-            _pack_csr(arrays, f"mp{i}/neighbor_adj", self.neighbor_adj[i])
+            pack_csr(arrays, f"mp{i}/incidence", self.incidence[i])
+            pack_csr(arrays, f"mp{i}/neighbor_adj", self.neighbor_adj[i])
             arrays[f"mp{i}/context_features"] = self.context_features[i]
         header = {
             "format_version": FORMAT_VERSION,
@@ -476,33 +429,24 @@ class FeatureSet:
                 k: int(v) for k, v in self.substrate_stats.items()
             },
         }
-        _write_archive(path, header, arrays)
+        write_archive(path, header, arrays)
 
     @classmethod
-    def load(cls, path: Path) -> Optional["FeatureSet"]:
-        header = _read_header(path)
-        if header is None or header.get("kind") != cls.kind:
-            return None
-        incidence, context_features, neighbor_adj = [], [], []
-        try:
-            with np.load(path, allow_pickle=False) as archive:
-                for i in range(len(header["metapath_names"])):
-                    incidence.append(_unpack_csr(archive, f"mp{i}/incidence"))
-                    neighbor_adj.append(
-                        _unpack_csr(archive, f"mp{i}/neighbor_adj")
-                    )
-                    context_features.append(archive[f"mp{i}/context_features"])
-        except ARCHIVE_ERRORS:
-            return None
+    def _from_archive(cls, header, arrays) -> "FeatureSet":
+        count = len(header["metapath_names"])
         return cls(
             key=header["key"],
             metapath_node_types=[
                 tuple(t) for t in header["metapath_node_types"]
             ],
             metapath_names=list(header["metapath_names"]),
-            incidence=incidence,
-            context_features=context_features,
-            neighbor_adj=neighbor_adj,
+            incidence=[unpack_csr(arrays, f"mp{i}/incidence") for i in range(count)],
+            context_features=[
+                arrays[f"mp{i}/context_features"] for i in range(count)
+            ],
+            neighbor_adj=[
+                unpack_csr(arrays, f"mp{i}/neighbor_adj") for i in range(count)
+            ],
             truncated_contexts=list(header["truncated_contexts"]),
             substrate_stats=dict(header.get("substrate_stats", {})),
         )

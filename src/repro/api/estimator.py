@@ -43,14 +43,22 @@ from pathlib import Path
 from typing import Dict, Optional, Protocol, Union, runtime_checkable
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.core.config import ConCHConfig
 from repro.data.base import HINDataset
 from repro.data.splits import Split, stratified_split
 from repro.eval.metrics import macro_f1, micro_f1
+from repro.hin.cache import (
+    ARCHIVE_MISS_ERRORS,
+    pack_csr,
+    read_archive,
+    unpack_csr,
+    write_archive,
+)
 
-#: Fit-stage / bundle archive format; mismatches fail loudly.
-BUNDLE_FORMAT_VERSION = 1
+#: Fit-stage / bundle archive format; mismatches read as misses.
+BUNDLE_FORMAT_VERSION = 2
 
 
 @runtime_checkable
@@ -131,9 +139,13 @@ class ConCHEstimator:
     # ------------------------------------------------------------- #
 
     def save(self, path: Union[str, Path]) -> None:
-        """Write a serving bundle: model + operators + features + labels."""
+        """Write a serving bundle: model + operators + features + labels.
+
+        Incidence transposes are stored too, so a mapped
+        :meth:`repro.api.ModelHandle.load` serves them from the shared
+        replica instead of materializing one per serving process.
+        """
         self._require_fitted()
-        from repro.api.artifacts import _pack_csr, _write_archive
         from repro.core.serialize import model_header, model_param_arrays
 
         data = self.data
@@ -141,8 +153,9 @@ class ConCHEstimator:
         arrays["features"] = data.features
         arrays["labels"] = data.labels
         for i, m in enumerate(data.metapath_data):
-            _pack_csr(arrays, f"mp{i}/incidence", m.incidence)
-            _pack_csr(arrays, f"mp{i}/neighbor_adj", m.neighbor_adj)
+            pack_csr(arrays, f"mp{i}/incidence", m.incidence)
+            pack_csr(arrays, f"mp{i}/incidence_T", sp.csr_matrix(m.incidence.T))
+            pack_csr(arrays, f"mp{i}/neighbor_adj", m.neighbor_adj)
             arrays[f"mp{i}/context_features"] = m.context_features
         header = {
             "bundle_format_version": BUNDLE_FORMAT_VERSION,
@@ -160,68 +173,78 @@ class ConCHEstimator:
             ],
             "model": model_header(self.trainer.model),
         }
-        _write_archive(Path(path), header, arrays)
+        write_archive(Path(path), header, arrays)
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> Optional["ConCHEstimator"]:
         """Reload a bundle; None when the file is not a valid bundle."""
-        from repro.api.artifacts import _unpack_csr
-        from repro.core.serialize import model_from_archive
-        from repro.core.trainer import ConCHData, MetaPathData
-        from repro.hin.metapath import MetaPath
+        loaded = read_bundle(Path(path))
+        return None if loaded is None else cls._from_archive(*loaded)
 
-        path = Path(path)
-        header = _read_bundle_header(path)
-        if header is None or header.get("kind") != "conch-estimator":
+    @classmethod
+    def _from_archive(cls, header, arrays) -> Optional["ConCHEstimator"]:
+        parts = conch_bundle_parts(header, arrays)
+        if parts is None:
             return None
-        from repro.api.artifacts import ARCHIVE_ERRORS
-
-        try:
-            with np.load(path, allow_pickle=False) as archive:
-                model = model_from_archive(header["model"], archive)
-                metapath_data = []
-                for i, (types, name) in enumerate(
-                    zip(header["metapath_node_types"], header["metapath_names"])
-                ):
-                    metapath_data.append(
-                        MetaPathData(
-                            metapath=MetaPath(types, name=name),
-                            incidence=_unpack_csr(archive, f"mp{i}/incidence"),
-                            context_features=archive[f"mp{i}/context_features"],
-                            neighbor_adj=_unpack_csr(
-                                archive, f"mp{i}/neighbor_adj"
-                            ),
-                            truncated_contexts=int(
-                                header["truncated_contexts"][i]
-                            ),
-                        )
-                    )
-                data = ConCHData(
-                    name=header["name"],
-                    features=archive["features"],
-                    labels=archive["labels"],
-                    num_classes=int(header["num_classes"]),
-                    metapath_data=metapath_data,
-                )
-        except ARCHIVE_ERRORS:
-            # Intact header over corrupt members: read as a miss so the
-            # pipeline retrains instead of crashing.
-            return None
-        config = ConCHConfig(**header["model"]["config"])
+        data, config, model, _transposed = parts
         estimator = cls(data, config)
         estimator.trainer.model = model  # trained weights over fresh operators
         estimator.fitted = True
         return estimator
 
 
-def _read_bundle_header(path: Path) -> Optional[dict]:
-    from repro.api.artifacts import _read_header
+def read_bundle(path: Path, mapped: bool = False):
+    """``(header, arrays)`` of an estimator bundle; None on any miss."""
+    loaded = read_archive(path, mapped=mapped)
+    if loaded is None:
+        return None
+    if loaded[0].get("bundle_format_version") != BUNDLE_FORMAT_VERSION:
+        return None
+    return loaded
 
-    return _read_header(
-        path,
-        version_field="bundle_format_version",
-        expected_version=BUNDLE_FORMAT_VERSION,
-    )
+
+def conch_bundle_parts(header: dict, arrays):
+    """``(data, config, model, incidence transposes)`` of a ConCH bundle.
+
+    The one builder behind :meth:`ConCHEstimator.load` (heap arrays) and
+    :meth:`repro.api.ModelHandle.load` (mapped arrays).  ``None`` when
+    the archive is not a ConCH bundle or its members are missing or
+    torn, so the pipeline retrains instead of crashing.
+    """
+    from repro.core.serialize import model_from_archive
+    from repro.core.trainer import ConCHData, MetaPathData
+    from repro.hin.metapath import MetaPath
+
+    if header.get("kind") != "conch-estimator":
+        return None
+    try:
+        model = model_from_archive(header["model"], arrays)
+        metapath_data = []
+        transposed = []
+        for i, (types, name) in enumerate(
+            zip(header["metapath_node_types"], header["metapath_names"])
+        ):
+            metapath_data.append(
+                MetaPathData(
+                    metapath=MetaPath(types, name=name),
+                    incidence=unpack_csr(arrays, f"mp{i}/incidence"),
+                    context_features=arrays[f"mp{i}/context_features"],
+                    neighbor_adj=unpack_csr(arrays, f"mp{i}/neighbor_adj"),
+                    truncated_contexts=int(header["truncated_contexts"][i]),
+                )
+            )
+            transposed.append(unpack_csr(arrays, f"mp{i}/incidence_T"))
+        data = ConCHData(
+            name=header["name"],
+            features=arrays["features"],
+            labels=arrays["labels"],
+            num_classes=int(header["num_classes"]),
+            metapath_data=metapath_data,
+        )
+        config = ConCHConfig(**header["model"]["config"])
+    except ARCHIVE_MISS_ERRORS:
+        return None
+    return data, config, model, transposed
 
 
 @dataclass
@@ -274,8 +297,6 @@ class _PredictionServing:
     def save(self, path: Union[str, Path]) -> None:
         """Snapshot the full prediction vector (the adapter's state)."""
         self._require_fitted()
-        from repro.api.artifacts import _write_archive
-
         name, dataset_name, num_classes, seed, labels = self._snapshot_fields()
         header = {
             "bundle_format_version": BUNDLE_FORMAT_VERSION,
@@ -285,7 +306,7 @@ class _PredictionServing:
             "num_classes": num_classes,
             "seed": seed,
         }
-        _write_archive(
+        write_archive(
             Path(path),
             header,
             {
@@ -405,40 +426,49 @@ class MethodEstimator(_PredictionServing):
         than silently scoring against the archived labels.
         """
         path = Path(path)
-        header = _read_bundle_header(path)
-        if header is None or header.get("kind") != "method-estimator":
+        loaded = read_bundle(path)
+        if loaded is None:
             return None
-        if dataset is not None and header.get("dataset") != dataset.name:
+        header, arrays = loaded
+        if (
+            dataset is not None
+            and header.get("kind") == "method-estimator"
+            and header.get("dataset") != dataset.name
+        ):
             raise ValueError(
                 f"snapshot {path} was taken on dataset "
                 f"{header.get('dataset')!r}, not {dataset.name!r}"
             )
-        from repro.api.artifacts import ARCHIVE_ERRORS
+        return cls._from_archive(header, arrays)
 
-        try:
-            with np.load(path, allow_pickle=False) as archive:
-                predictions = archive["predictions"]
-                proba = archive["proba"]
-                labels = archive["labels"]
-        except ARCHIVE_ERRORS:
+    @staticmethod
+    def _from_archive(header, arrays) -> Optional["_FrozenPredictions"]:
+        if header.get("kind") != "method-estimator":
             return None
-        return _FrozenPredictions(
-            name=header["name"],
-            dataset_name=header["dataset"],
-            num_classes=int(header["num_classes"]),
-            predictions=predictions,
-            proba=proba,
-            labels=labels,
-        )
+        try:
+            return _FrozenPredictions(
+                name=header["name"],
+                dataset_name=header["dataset"],
+                num_classes=int(header["num_classes"]),
+                seed=int(header.get("seed", 0)),
+                predictions=arrays["predictions"],
+                proba=arrays["proba"],
+                labels=arrays["labels"],
+            )
+        except ARCHIVE_MISS_ERRORS:
+            return None
 
 
 class _FrozenPredictions(_PredictionServing):
     """A reloaded :class:`MethodEstimator` snapshot: serve-only."""
 
-    def __init__(self, name, dataset_name, num_classes, predictions, proba, labels):
+    def __init__(
+        self, name, dataset_name, num_classes, seed, predictions, proba, labels
+    ):
         self.name = name
         self.dataset_name = dataset_name
         self.num_classes = num_classes
+        self.seed = seed
         self._predictions = predictions
         self._proba = proba
         self._labels = labels
@@ -455,8 +485,8 @@ class _FrozenPredictions(_PredictionServing):
 
     def _snapshot_fields(self):
         return (
-            self.name, self.dataset_name, int(self.num_classes), 0,
-            self._labels,
+            self.name, self.dataset_name, int(self.num_classes),
+            int(self.seed), self._labels,
         )
 
     def evaluate(self, indices: np.ndarray) -> Dict[str, float]:
@@ -466,15 +496,16 @@ class _FrozenPredictions(_PredictionServing):
 def load_estimator(path: Union[str, Path]):
     """Reload any saved estimator bundle (ConCH or method snapshot)."""
     path = Path(path)
-    header = _read_bundle_header(path)
-    if header is None:
+    loaded = read_bundle(path)
+    if loaded is None:
         raise ValueError(f"{path} is not an estimator bundle")
-    if header["kind"] == "conch-estimator":
-        estimator = ConCHEstimator.load(path)
+    header, arrays = loaded
+    if header.get("kind") == "conch-estimator":
+        estimator = ConCHEstimator._from_archive(header, arrays)
     else:
-        estimator = MethodEstimator.load(path)
+        estimator = MethodEstimator._from_archive(header, arrays)
     if estimator is None:
-        raise ValueError(f"{path} failed to load as {header['kind']}")
+        raise ValueError(f"{path} failed to load as {header.get('kind')}")
     return estimator
 
 

@@ -39,15 +39,20 @@ every batch with exactly this call.
 
 Zero-copy (mmap) operator tier
 ------------------------------
-``ModelHandle.load(path)`` maps the bundle's big payloads — operators,
-context features, object features — from raw ``.npy`` sidecar files
-(built next to the bundle on first load, shared by every later load)
-instead of copying the npz onto the heap, so **co-located serving
-workers share one OS-resident copy of the operator tier**; only the
-model weights (KBs) are private per process.  Sidecars are validated
-against the bundle's stat identity and rebuilt when stale; concurrent
-first loads build them once per cluster (claim-file dedupe).  Pass
-``mmap=False`` to force private heap copies.
+``ModelHandle.load(path)`` reads the bundle through the repo's one
+archive reader, mapped (:func:`repro.hin.cache.read_archive` with
+``mapped=True``): operators, their stored transposes, context features
+and object features come read-only from the bundle's replica in
+``<bundle>.mmap/`` instead of being copied onto the heap, so
+**co-located serving workers share one OS-resident copy of the operator
+tier**; only the model weights (KBs) are private per process.  The
+replica is built on the first load, validated against the bundle's stat
+identity and rebuilt when stale; concurrent first loads build it once
+per cluster (claim-file dedupe), and a bundle whose replica cannot be
+written is served from heap copies.  The heap
+:meth:`~repro.api.estimator.ConCHEstimator.load` builds its model and
+operators with the same code
+(:func:`~repro.api.estimator.conch_bundle_parts`).
 
 Live refresh (delta ingest)
 ---------------------------
@@ -84,9 +89,6 @@ import scipy.sparse as sp
 from repro.autograd.tensor import Tensor, no_grad
 from repro.obs.trace import TRACER
 
-#: Suffix of the sidecar directory holding a bundle's mapped payloads.
-BUNDLE_SIDECAR_SUFFIX = ".mmap"
-
 
 class _OperatorState:
     """One immutable generation of a handle's operator tier.
@@ -110,8 +112,8 @@ class _OperatorState:
 class ModelHandle:
     """A loaded, query-ready ConCH model (see module docstring).
 
-    Build one with :meth:`load` (from a bundle path — memory-mapped by
-    default) or :meth:`from_estimator` (from a fitted
+    Build one with :meth:`load` (from a bundle path, memory-mapped) or
+    :meth:`from_estimator` (from a fitted
     :class:`~repro.api.estimator.ConCHEstimator`, heap-backed).
     """
 
@@ -227,26 +229,23 @@ class ModelHandle:
         return cls(estimator.data, estimator.config, estimator.trainer.model)
 
     @classmethod
-    def load(cls, path: Union[str, Path], mmap: bool = True) -> "ModelHandle":
+    def load(cls, path: Union[str, Path]) -> "ModelHandle":
         """Open a serving handle over a saved estimator bundle.
 
-        With ``mmap=True`` (the default) the bundle's operators and
-        feature matrices are served from read-only memory-mapped sidecar
-        files next to the bundle — built on first load, after which
-        every co-located worker shares one OS-resident copy.  Falls back
-        to the heap path when sidecars cannot be built (e.g. a read-only
-        bundle directory).
+        The bundle's operators and feature matrices are served from its
+        read-only memory-mapped replica (built on first load, after
+        which every co-located worker shares one OS-resident copy), or
+        from heap copies when the replica cannot be written (e.g. a
+        read-only bundle directory).
         """
-        if mmap:
-            handle = _load_mapped_handle(path)
-            if handle is not None:
-                return handle
-        from repro.api.estimator import ConCHEstimator
+        from repro.api.estimator import conch_bundle_parts, read_bundle
 
-        estimator = ConCHEstimator.load(path)
-        if estimator is None:
+        loaded = read_bundle(Path(path), mapped=True)
+        parts = None if loaded is None else conch_bundle_parts(*loaded)
+        if parts is None:
             raise ValueError(f"{path} is not a ConCH estimator bundle")
-        return cls.from_estimator(estimator)
+        data, config, model, transposed = parts
+        return cls(data, config, model, transposed=transposed)
 
     # ------------------------------------------------------------- #
     # Request validation
@@ -444,169 +443,3 @@ class ModelHandle:
             f"metapaths={len(self._operators)}, "
             f"layers={self.config.num_layers})"
         )
-
-
-# ------------------------------------------------------------------ #
-# The mapped bundle loader (zero-copy operator tier)
-# ------------------------------------------------------------------ #
-
-
-def _bundle_sidecar_dir(path: Path) -> Path:
-    return path.with_name(path.name + BUNDLE_SIDECAR_SUFFIX)
-
-
-def _bundle_sidecar_meta(path: Path) -> Optional[dict]:
-    from repro.hin.cache import file_stat_identity
-
-    stat = file_stat_identity(path)
-    if stat is None:
-        return None
-    return {"kind": "conch-bundle-sidecars", "bundle_stat": stat}
-
-
-def _export_bundle_sidecars(path: Path, header: dict) -> bool:
-    """Materialize a bundle's big payloads as mappable ``.npy`` sidecars.
-
-    One manifest covers the whole export (written atomically last), so a
-    reader either sees a complete, consistent generation or rebuilds.
-    Incidence transposes are exported too — computing them per process
-    would put a full heap copy back in every worker.
-    """
-    from repro.api.artifacts import ARCHIVE_ERRORS, _unpack_csr
-    from repro.hin.cache import save_mmap_arrays
-
-    arrays: Dict[str, np.ndarray] = {}
-    csr_shapes: Dict[str, List[int]] = {}
-
-    def pack_csr(name: str, matrix: sp.csr_matrix) -> None:
-        matrix = sp.csr_matrix(matrix)
-        if not matrix.has_sorted_indices:
-            matrix.sort_indices()
-        arrays[f"{name}.data"] = matrix.data
-        arrays[f"{name}.indices"] = matrix.indices
-        arrays[f"{name}.indptr"] = matrix.indptr
-        csr_shapes[name] = [int(s) for s in matrix.shape]
-
-    try:
-        with np.load(path, allow_pickle=False) as archive:
-            arrays["features"] = archive["features"]
-            arrays["labels"] = archive["labels"]
-            for i in range(len(header["metapath_names"])):
-                incidence = _unpack_csr(archive, f"mp{i}/incidence")
-                pack_csr(f"mp{i}.incidence", incidence)
-                pack_csr(f"mp{i}.incidence_T", sp.csr_matrix(incidence.T))
-                pack_csr(
-                    f"mp{i}.neighbor_adj",
-                    _unpack_csr(archive, f"mp{i}/neighbor_adj"),
-                )
-                arrays[f"mp{i}.context_features"] = archive[
-                    f"mp{i}/context_features"
-                ]
-    except ARCHIVE_ERRORS:
-        return False
-    meta = _bundle_sidecar_meta(path)
-    if meta is None:
-        return False
-    meta["csr_shapes"] = csr_shapes
-    return save_mmap_arrays(_bundle_sidecar_dir(path), "bundle", arrays, meta)
-
-
-def _load_mapped_handle(path: Union[str, Path]) -> Optional[ModelHandle]:
-    """Open a bundle with its big payloads memory-mapped; None on any miss.
-
-    Misses fall back to the heap loader in :meth:`ModelHandle.load` —
-    never an error.  Sidecars are built on first load (claim-file
-    dedupe: concurrent cold workers build once per cluster, the rest
-    wait and map the winner's export).
-    """
-    from repro.api.estimator import _read_bundle_header
-    from repro.core.serialize import model_from_archive
-    from repro.core.config import ConCHConfig
-    from repro.core.trainer import ConCHData, MetaPathData
-    from repro.hin.cache import (
-        ClaimFile,
-        csr_from_components,
-        load_mmap_arrays,
-    )
-    from repro.hin.metapath import MetaPath
-
-    path = Path(path)
-    header = _read_bundle_header(path)
-    if header is None or header.get("kind") != "conch-estimator":
-        return None
-    expected = _bundle_sidecar_meta(path)
-    if expected is None:
-        return None
-    sidecar_dir = _bundle_sidecar_dir(path)
-
-    def try_map():
-        return load_mmap_arrays(sidecar_dir, "bundle", expected)
-
-    loaded = try_map()
-    if loaded is None:
-        claim = ClaimFile(path.with_name(path.name + ".mmap.claim"))
-        if claim.acquire():
-            try:
-                if not _export_bundle_sidecars(path, header):
-                    return None
-            finally:
-                claim.release()
-        else:
-            claim.wait(try_map)
-        loaded = try_map()
-        if loaded is None:
-            return None
-    meta, arrays = loaded
-    csr_shapes = meta.get("csr_shapes", {})
-
-    def unpack_csr(name: str) -> Optional[sp.csr_matrix]:
-        shape = csr_shapes.get(name)
-        try:
-            data = arrays[f"{name}.data"]
-            indices = arrays[f"{name}.indices"]
-            indptr = arrays[f"{name}.indptr"]
-        except KeyError:
-            return None
-        if shape is None or len(shape) != 2:
-            return None
-        if indptr.shape != (int(shape[0]) + 1,):
-            return None
-        return csr_from_components(data, indices, indptr, tuple(shape))
-
-    from repro.api.artifacts import ARCHIVE_ERRORS
-
-    try:
-        with np.load(path, allow_pickle=False) as archive:
-            model = model_from_archive(header["model"], archive)
-    except ARCHIVE_ERRORS:
-        return None
-    metapath_data: List[MetaPathData] = []
-    transposed: List[Optional[sp.csr_matrix]] = []
-    for i, (types, name) in enumerate(
-        zip(header["metapath_node_types"], header["metapath_names"])
-    ):
-        incidence = unpack_csr(f"mp{i}.incidence")
-        incidence_t = unpack_csr(f"mp{i}.incidence_T")
-        neighbor_adj = unpack_csr(f"mp{i}.neighbor_adj")
-        context_features = arrays.get(f"mp{i}.context_features")
-        if incidence is None or neighbor_adj is None or context_features is None:
-            return None
-        metapath_data.append(
-            MetaPathData(
-                metapath=MetaPath(types, name=name),
-                incidence=incidence,
-                context_features=context_features,
-                neighbor_adj=neighbor_adj,
-                truncated_contexts=int(header["truncated_contexts"][i]),
-            )
-        )
-        transposed.append(incidence_t)
-    data = ConCHData(
-        name=header["name"],
-        features=arrays["features"],
-        labels=arrays["labels"],
-        num_classes=int(header["num_classes"]),
-        metapath_data=metapath_data,
-    )
-    config = ConCHConfig(**header["model"]["config"])
-    return ModelHandle(data, config, model, transposed=transposed)

@@ -29,7 +29,6 @@ from repro.core.discriminator import Discriminator, shuffle_features
 from repro.core.model import ConCH
 from repro.core.trainer import ConCHTrainer, ConCHData, MetaPathData, prepare_conch_data
 from repro.core.variants import VARIANTS, variant_config
-from repro.core.classifier import ConCHClassifier
 from repro.core.explain import Explanation, explain_node
 from repro.core.serialize import load_model, save_model
 from repro.core.minibatch import MiniBatchConCHTrainer
@@ -56,7 +55,6 @@ __all__ = [
     "prepare_conch_data",
     "VARIANTS",
     "variant_config",
-    "ConCHClassifier",
     "Explanation",
     "explain_node",
     "save_model",

@@ -2,7 +2,8 @@
 
 Saves everything needed to reconstruct a trained model — the
 :class:`~repro.core.config.ConCHConfig`, the constructor dimensions, and
-every parameter array — into one ``.npz`` archive.  The preprocessed
+every parameter array — into one archive of the repo's single format
+(:func:`repro.hin.cache.write_archive`).  The preprocessed
 :class:`~repro.core.trainer.ConCHData` is *not* stored (it is derived
 from the dataset; regenerate it with the saved config's ``k``/strategy
 to guarantee matching operators).
@@ -16,14 +17,14 @@ Example
 from __future__ import annotations
 
 import dataclasses
-import json
 from pathlib import Path
-from typing import Union
+from typing import Mapping, Union
 
 import numpy as np
 
 from repro.core.config import ConCHConfig
 from repro.core.model import ConCH
+from repro.hin.cache import read_archive, write_archive
 
 #: Bumped when the archive layout changes.
 FORMAT_VERSION = 1
@@ -57,8 +58,8 @@ def model_param_arrays(model: ConCH) -> dict:
     return {f"param/{name}": value for name, value in model.state_dict().items()}
 
 
-def model_from_archive(header: dict, archive) -> ConCH:
-    """Rebuild a ConCH model from its header + an open npz archive."""
+def model_from_archive(header: dict, arrays: Mapping[str, np.ndarray]) -> ConCH:
+    """Rebuild a ConCH model from its header + an archive's arrays."""
     version = header.get("format_version")
     if version != FORMAT_VERSION:
         raise ValueError(
@@ -74,8 +75,8 @@ def model_from_archive(header: dict, archive) -> ConCH:
         rng=np.random.default_rng(config.seed),
     )
     state = {
-        key[len("param/"):]: archive[key]
-        for key in archive.files
+        key[len("param/"):]: value
+        for key, value in arrays.items()
         if key.startswith("param/")
     }
     model.load_state_dict(state)
@@ -85,15 +86,14 @@ def model_from_archive(header: dict, archive) -> ConCH:
 
 def save_model(model: ConCH, path: Union[str, Path]) -> None:
     """Write a trained ConCH model to ``path`` (``.npz``)."""
-    arrays = model_param_arrays(model)
-    arrays["__header"] = np.array(json.dumps(model_header(model)))
-    np.savez_compressed(Path(path), **arrays)
+    write_archive(path, model_header(model), model_param_arrays(model))
 
 
 def load_model(path: Union[str, Path]) -> ConCH:
     """Reconstruct a ConCH model saved by :func:`save_model`."""
-    archive = np.load(Path(path), allow_pickle=False)
-    if "__header" not in archive.files:
-        raise ValueError(f"{path} is not a ConCH checkpoint (missing header)")
-    header = json.loads(str(archive["__header"]))
-    return model_from_archive(header, archive)
+    loaded = read_archive(path)
+    if loaded is None:
+        raise ValueError(
+            f"{path} is not a ConCH checkpoint (missing header or corrupt file)"
+        )
+    return model_from_archive(*loaded)

@@ -19,27 +19,38 @@ both costs:
     consults whatever survives.
 
 :class:`ProductStore`
-    A disk-backed store for composed chain products.  Files are ``.npz``
-    archives keyed by a content hash of the HIN (edge arrays + schema —
+    A disk-backed store for composed chain products.  Files are archives
+    keyed by a content hash of the HIN (edge arrays + schema —
     :func:`repro.hin.io.hin_content_hash`) and the product's node-type
     tuple, so repeated runs over the same dataset skip composition
     entirely.  A corrupt or stale file (hash mismatch, truncated archive)
     is ignored and rewritten; writes are atomic (temp file + ``rename``)
     so a crashed run never leaves a torn archive behind.
 
+The archive format
+------------------
+Every CSR-bearing artifact in this repo — products, the staged
+pipeline's stage artifacts (:mod:`repro.api.artifacts`), estimator
+bundles and model checkpoints — is one archive: an uncompressed ``.npz``
+with a JSON ``__header`` member, written by :func:`write_archive` and
+read by :func:`read_archive`, with sparse matrices stored by
+:func:`pack_csr` and rebuilt by :func:`unpack_csr`.  A corrupt, empty,
+truncated or header-less archive reads as a miss (``None``), never an
+error.
+
 Zero-copy (mmap) tier
 ---------------------
-Next to every ``.npz`` archive the store keeps raw ``.npy`` *sidecar*
-files of the product's CSR components (``data``/``indices``/``indptr``),
-written through :func:`save_mmap_arrays`.  :meth:`ProductStore.load`
-memory-maps those sidecars read-only (:func:`load_mmap_arrays` +
-:func:`csr_from_components`) instead of copying the npz payload onto the
-heap, so **co-located workers sharing a store directory share one
-OS-page-cache-resident copy per product** — N serving workers cost ~1×
-memory, not N×.  The npz stays the single source of truth: sidecars
-record the npz's ``stat`` identity and are rebuilt from it whenever they
-are missing, truncated, corrupt, or stale, and a corrupt *npz* is a miss
-regardless of sidecar health (the caller recomposes and rewrites both).
+``read_archive(path, mapped=True)`` serves an archive's members from a
+replica of raw ``.npy`` files in ``<archive>.mmap/``
+(:func:`save_mmap_arrays` / :func:`load_mmap_arrays`) instead of copying
+the npz payload onto the heap, so **co-located workers mapping one
+archive share one OS-page-cache-resident copy** — N serving workers cost
+~1× memory, not N×.  The npz stays the single source of truth: the
+replica's manifest records the npz's ``stat`` identity and header, the
+first mapped read after a write builds the replica, and one that is
+missing, truncated, corrupt, or stale is rebuilt from the npz; a
+corrupt *npz* is a miss regardless of replica health.  (The npz itself
+is not mapped: ``np.savez`` leaves member data unaligned.)
 Mmap-backed matrices are read-only; :func:`resident_nbytes` reports them
 at ~zero heap cost, which is how the engine's
 :class:`LRUByteCache` budget accounts for them.
@@ -307,8 +318,14 @@ def splice_rows(
 
 
 # ---------------------------------------------------------------------- #
-# Raw-``.npy`` sidecar persistence (the zero-copy tier's file format)
+# The archive format: one npz writer, one (optionally mapped) reader
 # ---------------------------------------------------------------------- #
+
+#: The archive member holding every archive's JSON header.
+HEADER_MEMBER = "__header"
+
+#: Suffix of the directory holding an archive's mapped replica.
+REPLICA_SUFFIX = ".mmap"
 
 #: Suffix of the JSON manifest naming one consistent sidecar generation.
 MMAP_META_SUFFIX = ".mmap.json"
@@ -319,14 +336,222 @@ MMAP_META_SUFFIX = ".mmap.json"
 _REAP_GRACE_SECONDS = 60.0
 
 
+def _unique_tmp(path: Path) -> Path:
+    """A temp name next to ``path`` that no other write can share."""
+    token = f"{os.getpid()}.{os.urandom(6).hex()}"
+    return path.with_name(f".{path.name}.{token}.tmp")
+
+
+def _replica_dir(path: Path) -> Path:
+    return path.with_name(path.name + REPLICA_SUFFIX)
+
+
+def _stat_identity(stat: os.stat_result) -> dict:
+    return {
+        "size": int(stat.st_size),
+        "mtime_ns": int(stat.st_mtime_ns),
+        "ino": int(stat.st_ino),
+    }
+
+
+def file_stat_identity(path: Union[str, Path]) -> Optional[dict]:
+    """A file's (size, mtime_ns, inode) triple — the cheap staleness key.
+
+    Atomic-rename writers (every archive in this repo) allocate a fresh
+    inode per rewrite, so any rewrite — even a same-size, same-content
+    one — changes the identity; in-place corruption changes size or
+    mtime.  ``None`` when the file is missing.
+    """
+    try:
+        return _stat_identity(os.stat(path))
+    except OSError:
+        return None
+
+
+def write_archive(
+    path: Union[str, Path], header: dict, arrays: Dict[str, np.ndarray]
+) -> None:
+    """Atomically publish an uncompressed npz with a JSON ``__header``.
+
+    The payload goes to a temp file unique to this call, which is then
+    renamed over ``path``, so concurrent writers of one archive (threads
+    or processes) never share a temp file and the last rename wins with
+    a whole archive.  On any failure the temp file is removed and the
+    error propagates; nothing torn is ever published.  Uncompressed on
+    purpose: archives exist to beat recomputation, and zlib on every
+    load would eat that win.
+    """
+    path = Path(path)
+    payload = dict(arrays)
+    payload[HEADER_MEMBER] = np.array(json.dumps(header, sort_keys=True))
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = _unique_tmp(path)
+    try:
+        with open(tmp, "xb") as handle:
+            np.savez(handle, **payload)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            tmp.unlink(missing_ok=True)
+        except OSError:
+            pass
+        raise
+
+
+def _read_npz(path: Path) -> Optional[Tuple[dict, Dict[str, np.ndarray], dict]]:
+    """``(header, arrays, stat identity)`` of an archive; None on a miss.
+
+    The stat identity is taken from the open file, so it names exactly
+    the bytes that were read even when a writer replaces the archive
+    mid-read.
+    """
+    try:
+        with open(path, "rb") as handle:
+            stat = _stat_identity(os.fstat(handle.fileno()))
+            archive = np.load(handle, allow_pickle=False)
+            if not isinstance(archive, np.lib.npyio.NpzFile):
+                return None
+            with archive:
+                header = json.loads(str(archive[HEADER_MEMBER]))
+                if not isinstance(header, dict):
+                    return None
+                arrays = {
+                    name: archive[name]
+                    for name in archive.files
+                    if name != HEADER_MEMBER
+                }
+    except ARCHIVE_MISS_ERRORS:
+        return None
+    return header, arrays, stat
+
+
+def _map_replica(
+    path: Path, stat: dict
+) -> Optional[Tuple[dict, Dict[str, np.ndarray]]]:
+    """The archive's mapped replica, if it was built from ``stat``."""
+    loaded = load_mmap_arrays(
+        _replica_dir(path), "replica", {"archive_stat": stat}
+    )
+    if loaded is None:
+        return None
+    meta, arrays = loaded
+    header = meta.get("header")
+    if not isinstance(header, dict):
+        return None
+    return header, arrays
+
+
+def read_archive(
+    path: Union[str, Path], mapped: bool = False
+) -> Optional[Tuple[dict, Dict[str, np.ndarray]]]:
+    """``(header, arrays)`` of an archive from :func:`write_archive`.
+
+    Returns ``None`` on any miss: a missing, truncated, empty or garbage
+    file, a missing header, or a header that is not a JSON object.
+
+    With ``mapped=True`` the members come read-only from a replica of
+    raw ``.npy`` files in ``<archive>.mmap/``, so every process mapping
+    one archive shares one page-cache copy.  The npz stays the single
+    source of truth: the replica's manifest records the archive's stat
+    identity and header, and a replica that is missing, stale, torn or
+    corrupt is rebuilt from the npz on the way through, under the claim
+    file ``<archive>.mmap.claim`` (concurrent cold readers build it once
+    and the rest wait and map).  A warm mapped read never opens the
+    zip.  When the replica cannot be written (a read-only directory) the
+    read falls back to heap arrays.
+    """
+    path = Path(path)
+    if not mapped:
+        loaded = _read_npz(path)
+        return None if loaded is None else loaded[:2]
+    stat = file_stat_identity(path)
+    if stat is None:
+        return None
+    served = _map_replica(path, stat)
+    if served is not None:
+        return served
+    claim = ClaimFile(path.with_name(path.name + REPLICA_SUFFIX + ".claim"))
+    if claim.acquire():
+        try:
+            return _rebuild_replica(path)
+        finally:
+            claim.release()
+    served = claim.wait(lambda: _map_replica(path, stat))
+    return served if served is not None else read_archive(path)
+
+
+def _rebuild_replica(path: Path) -> Optional[Tuple[dict, Dict[str, np.ndarray]]]:
+    """Rebuild the mapped replica from the npz; heap arrays if it fails."""
+    loaded = _read_npz(path)
+    if loaded is None:
+        return None
+    header, arrays, stat = loaded
+    if save_mmap_arrays(
+        _replica_dir(path),
+        "replica",
+        arrays,
+        meta={"archive_stat": stat, "header": header},
+    ):
+        served = _map_replica(path, stat)
+        if served is not None:
+            return served
+    return header, arrays
+
+
+def pack_csr(
+    arrays: Dict[str, np.ndarray], prefix: str, matrix: sp.spmatrix
+) -> None:
+    """Add one CSR's components to an archive payload under ``prefix/``.
+
+    Archived CSR is canonical (sorted, duplicate-free), the contract
+    :func:`unpack_csr` marks its zero-copy result with.  A non-canonical
+    matrix is canonicalized on a copy; the caller's is never touched.
+    """
+    matrix = sp.csr_matrix(matrix)
+    if not matrix.has_canonical_format:
+        matrix = matrix.copy()
+        matrix.sum_duplicates()
+    arrays[f"{prefix}/data"] = matrix.data
+    arrays[f"{prefix}/indices"] = matrix.indices
+    arrays[f"{prefix}/indptr"] = matrix.indptr
+    arrays[f"{prefix}/shape"] = np.asarray(matrix.shape, dtype=np.int64)
+
+
+def unpack_csr(arrays: Dict[str, np.ndarray], prefix: str) -> sp.csr_matrix:
+    """The CSR :func:`pack_csr` stored under ``prefix/``, with zero copies.
+
+    Validates the invariants a torn or mismatched component set breaks
+    — ``indptr`` length vs. the recorded shape, ``indptr[0] == 0``,
+    ``indptr[-1] == nnz``, ``indices`` shaped like ``data`` — and raises
+    ``ValueError`` (or ``KeyError`` for a missing component), both
+    archive misses, instead of building a matrix that would fault later.
+    """
+    data = arrays[f"{prefix}/data"]
+    indices = arrays[f"{prefix}/indices"]
+    indptr = arrays[f"{prefix}/indptr"]
+    shape = tuple(int(s) for s in arrays[f"{prefix}/shape"])
+    if len(shape) != 2 or indptr.shape != (shape[0] + 1,):
+        raise ValueError(f"{prefix}: indptr does not match shape {shape}")
+    if data.ndim != 1 or indices.shape != data.shape:
+        raise ValueError(f"{prefix}: indices and data disagree")
+    if int(indptr[0]) != 0 or int(indptr[-1]) != data.size:
+        raise ValueError(f"{prefix}: indptr does not span the data")
+    return csr_from_components(data, indices, indptr, shape)
+
+
+# ---------------------------------------------------------------------- #
+# Raw-``.npy`` sidecars (the mapped replica's file format)
+# ---------------------------------------------------------------------- #
+
+
 def _sidecar_meta_path(directory: Path, prefix: str) -> Path:
     return directory / f"{prefix}{MMAP_META_SUFFIX}"
 
 
 def _sidecar_array_path(
-    directory: Path, prefix: str, generation: str, name: str
+    directory: Path, prefix: str, generation: str, position: int
 ) -> Path:
-    return directory / f"{prefix}.{generation}.{name}.npy"
+    return directory / f"{prefix}.{generation}.{position}.npy"
 
 
 def save_mmap_arrays(
@@ -337,8 +562,9 @@ def save_mmap_arrays(
 ) -> bool:
     """Persist named arrays as raw ``.npy`` files + a JSON manifest.
 
-    Every array lands in its own ``<prefix>.<generation>.<name>.npy``
-    (atomic temp-file + rename), then the manifest
+    Every array lands in its own ``<prefix>.<generation>.<position>.npy``
+    (atomic temp-file + rename; the manifest maps names to positions, so
+    any archive member name works), then the manifest
     ``<prefix>.mmap.json`` is atomically replaced to point at the new
     generation — so readers always see a *consistent set*: a crash
     between array writes leaves the old manifest (and old files) intact,
@@ -349,7 +575,7 @@ def save_mmap_arrays(
     directory = Path(directory)
     generation = os.urandom(8).hex()
     manifest = {
-        "sidecar_version": 1,
+        "sidecar_version": 2,
         "generation": generation,
         "arrays": {},
     }
@@ -358,20 +584,21 @@ def save_mmap_arrays(
     written = []
     try:
         directory.mkdir(parents=True, exist_ok=True)
-        for name, array in arrays.items():
+        for position, (name, array) in enumerate(arrays.items()):
             array = np.ascontiguousarray(array)
-            path = _sidecar_array_path(directory, prefix, generation, name)
-            tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+            path = _sidecar_array_path(directory, prefix, generation, position)
+            tmp = _unique_tmp(path)
             with open(tmp, "wb") as handle:
                 np.save(handle, array)
             os.replace(tmp, path)
             written.append(path)
             manifest["arrays"][name] = {
+                "position": position,
                 "shape": list(array.shape),
                 "dtype": str(array.dtype),
             }
         meta_path = _sidecar_meta_path(directory, prefix)
-        tmp = meta_path.with_name(f"{meta_path.name}.{os.getpid()}.tmp")
+        tmp = _unique_tmp(meta_path)
         tmp.write_text(json.dumps(manifest, sort_keys=True))
         os.replace(tmp, meta_path)
     except OSError:
@@ -409,7 +636,7 @@ def load_mmap_arrays(
     plus the mapped arrays.  Misses (all silent, mirroring every loader
     in this module): missing or corrupt manifest, ``expected_meta``
     entries that do not match the manifest's recorded ``meta`` exactly
-    (the staleness check — e.g. the source npz's stat identity), a
+    (the staleness check — e.g. the source archive's stat identity), a
     missing/truncated array file, or a mapped array whose shape/dtype
     disagrees with the manifest.  Zero-size arrays are loaded normally
     (they cannot be mapped) — their heap cost is nil.
@@ -418,7 +645,7 @@ def load_mmap_arrays(
     meta_path = _sidecar_meta_path(directory, prefix)
     try:
         manifest = json.loads(meta_path.read_text())
-        if manifest.get("sidecar_version") != 1:
+        if manifest.get("sidecar_version") != 2:
             return None
         recorded = manifest.get("meta", {})
         if expected_meta:
@@ -428,7 +655,9 @@ def load_mmap_arrays(
         generation = manifest["generation"]
         out: Dict[str, np.ndarray] = {}
         for name, spec in manifest["arrays"].items():
-            path = _sidecar_array_path(directory, prefix, generation, name)
+            path = _sidecar_array_path(
+                directory, prefix, generation, int(spec["position"])
+            )
             expected_shape = tuple(int(s) for s in spec["shape"])
             if int(np.prod(expected_shape)) == 0:
                 array = np.load(path, allow_pickle=False)
@@ -442,82 +671,6 @@ def load_mmap_arrays(
     except _MANIFEST_MISS_ERRORS:
         return None
     return recorded, out
-
-
-def load_mmap_csr(
-    directory: Union[str, Path],
-    prefix: str,
-    expected_meta: Optional[dict] = None,
-) -> Optional[sp.csr_matrix]:
-    """Map one sidecar CSR (written by :func:`save_mmap_csr`); None on miss.
-
-    Beyond :func:`load_mmap_arrays`' checks this validates the CSR
-    invariants that a torn or mismatched component set would break:
-    ``indptr`` length vs. the recorded shape, ``indptr[0] == 0``, and
-    ``indptr[-1] == nnz``.
-    """
-    loaded = load_mmap_arrays(directory, prefix, expected_meta)
-    if loaded is None:
-        return None
-    meta, arrays = loaded
-    try:
-        shape = tuple(int(s) for s in meta["shape"])
-        data, indices, indptr = (
-            arrays["data"], arrays["indices"], arrays["indptr"],
-        )
-    except _MANIFEST_MISS_ERRORS:
-        return None
-    if len(shape) != 2 or indptr.shape != (shape[0] + 1,):
-        return None
-    if indices.shape != data.shape:
-        return None
-    if indptr.size == 0 or int(indptr[0]) != 0 or int(indptr[-1]) != data.size:
-        return None
-    return csr_from_components(data, indices, indptr, shape)
-
-
-def save_mmap_csr(
-    directory: Union[str, Path],
-    prefix: str,
-    matrix: sp.spmatrix,
-    meta: Optional[dict] = None,
-) -> bool:
-    """Persist one CSR's components as mappable sidecars (sorted first)."""
-    matrix = sp.csr_matrix(matrix)
-    if not matrix.has_sorted_indices:
-        matrix = matrix.copy()
-        matrix.sort_indices()
-    full_meta = dict(meta or {})
-    full_meta["shape"] = [int(s) for s in matrix.shape]
-    return save_mmap_arrays(
-        directory,
-        prefix,
-        {
-            "data": matrix.data,
-            "indices": matrix.indices,
-            "indptr": matrix.indptr,
-        },
-        meta=full_meta,
-    )
-
-
-def file_stat_identity(path: Union[str, Path]) -> Optional[dict]:
-    """A file's (size, mtime_ns, inode) triple — the cheap staleness key.
-
-    Atomic-rename writers (every store in this repo) allocate a fresh
-    inode per rewrite, so any rewrite — even a same-size, same-content
-    one — changes the identity; in-place corruption changes size or
-    mtime.  ``None`` when the file is missing.
-    """
-    try:
-        stat = os.stat(path)
-    except OSError:
-        return None
-    return {
-        "size": int(stat.st_size),
-        "mtime_ns": int(stat.st_mtime_ns),
-        "ino": int(stat.st_ino),
-    }
 
 
 @dataclass
@@ -803,7 +956,7 @@ class ClaimFile:
 
     :class:`ProductStore` claims products with this;
     :class:`repro.api.artifacts.ArtifactStore` claims whole pipeline
-    stage artifacts; the serving bundle mapper claims sidecar exports.
+    stage artifacts; :func:`read_archive` claims replica builds.
     """
 
     #: Seconds after which an unreleased claim counts as abandoned.
@@ -958,15 +1111,23 @@ class _LeaseHeartbeat:
 
 
 class ProductStore:
-    """Disk-backed ``.npz`` store for composed commuting-matrix products.
+    """Disk-backed store of composed commuting-matrix products.
 
     A product is addressed by ``(content_hash, key)`` where
     ``content_hash`` identifies the HIN's edge arrays + schema
     (:func:`repro.hin.io.hin_content_hash`) and ``key`` is the node-type
-    tuple of the chain.  Both are stored *inside* the archive and
-    verified on load, so a file that is stale (graph changed), corrupt
-    (truncated, garbage), or a filename collision is silently treated as
-    a miss — the caller recomposes and rewrites it.
+    tuple of the chain.  Each product is one archive
+    (:func:`write_archive`: the CSR packed by :func:`pack_csr`, and a
+    header carrying ``format_version``, ``content_hash`` and ``key``,
+    all verified on load), so a file that is stale (graph changed),
+    corrupt (truncated, garbage), or a filename collision is silently
+    treated as a miss — the caller recomposes and rewrites it.
+
+    Loads are mapped (:func:`read_archive` with ``mapped=True``): the
+    returned matrix is **read-only and memory-mapped** from the
+    archive's replica, which the first load after a write builds, so
+    co-located workers sharing a store directory share one page-cache
+    copy per product and a warm load never opens the zip.
 
     Concurrent-writer dedupe
     ------------------------
@@ -985,7 +1146,7 @@ class ProductStore:
     """
 
     #: Bumped when the archive layout changes; mismatches read as misses.
-    FORMAT_VERSION = 1
+    FORMAT_VERSION = 2
 
     #: Seconds after which an unreleased claim counts as abandoned.
     DEFAULT_CLAIM_TTL = ClaimFile.DEFAULT_TTL
@@ -994,15 +1155,10 @@ class ProductStore:
         self,
         directory: Union[str, Path],
         claim_ttl: float = DEFAULT_CLAIM_TTL,
-        mmap: bool = True,
     ):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.claim_ttl = float(claim_ttl)
-        #: Serve loads through read-only memory-mapped sidecars when
-        #: possible (the zero-copy tier); ``False`` restores the
-        #: npz-copy behavior (e.g. on filesystems where mmap is slow).
-        self.mmap = bool(mmap)
         # Telemetry counters sit behind their own leaf lock so the IO
         # paths never run locked (blocking-under-lock rule).
         self._stats_lock = threading.Lock()
@@ -1034,35 +1190,11 @@ class ProductStore:
         ).hexdigest()[:40]
         return self.directory / f"product-{digest}.npz"
 
-    def _sidecar_meta(self, content_hash: str, key: Sequence[str]) -> dict:
-        """The manifest identity sidecars must match to be served.
-
-        Tying sidecars to the npz's stat identity keeps the npz the
-        single source of truth: any rewrite or in-place corruption of
-        the archive invalidates the mapped replica too.
-        """
-        return {
-            "format_version": self.FORMAT_VERSION,
-            "content_hash": content_hash,
-            "key": [str(t) for t in key],
-            "npz_stat": file_stat_identity(self.path_for(content_hash, key)),
-        }
-
     def load(
-        self,
-        content_hash: str,
-        key: Sequence[str],
-        mmap: Optional[bool] = None,
+        self, content_hash: str, key: Sequence[str]
     ) -> Optional[sp.csr_matrix]:
-        """The stored CSR product, or ``None`` on any miss/mismatch/corruption.
-
-        With the mmap tier enabled (the default) the returned matrix is
-        **read-only and memory-mapped** whenever healthy sidecars exist;
-        missing or stale sidecars are rebuilt from the npz on the way
-        through, so the *next* load — from this or any co-located
-        process — is zero-copy.  ``mmap=False`` forces the heap path.
-        """
-        matrix = self._load_impl(content_hash, key, mmap)
+        """The stored CSR product (mapped), or ``None`` on any miss."""
+        matrix = self._load_impl(content_hash, key)
         with self._stats_lock:
             self._loads += 1
             if matrix is not None:
@@ -1070,137 +1202,44 @@ class ProductStore:
         return matrix
 
     def _load_impl(
-        self,
-        content_hash: str,
-        key: Sequence[str],
-        mmap: Optional[bool] = None,
-    ) -> Optional[sp.csr_matrix]:
-        mmap = self.mmap if mmap is None else bool(mmap)
-        path = self.path_for(content_hash, key)
-        if mmap:
-            expected = self._sidecar_meta(content_hash, key)
-            if expected["npz_stat"] is not None:
-                mapped = load_mmap_csr(self.directory, path.stem, expected)
-                if mapped is not None:
-                    return mapped
-        matrix = self._load_npz(content_hash, key)
-        if matrix is None or not mmap:
-            return matrix
-        # Healthy npz but no (or stale/corrupt) sidecars: rebuild them and
-        # hand back the mapped view so even the rebuilding process serves
-        # zero-copy; the transient heap copy dies with this frame.  The
-        # rebuild is claim-guarded so a stampede of cold workers elects
-        # one writer — losers serve this load from the heap copy and map
-        # on their next access.
-        rebuild = ClaimFile(
-            path.with_name(path.name + ".mmap.claim"), self.claim_ttl
-        )
-        if not rebuild.acquire():
-            return matrix
-        try:
-            if save_mmap_csr(
-                self.directory,
-                path.stem,
-                matrix,
-                meta=self._sidecar_meta(content_hash, key),
-            ):
-                mapped = load_mmap_csr(
-                    self.directory,
-                    path.stem,
-                    self._sidecar_meta(content_hash, key),
-                )
-                if mapped is not None:
-                    return mapped
-        finally:
-            rebuild.release()
-        return matrix
-
-    def _load_npz(
         self, content_hash: str, key: Sequence[str]
     ) -> Optional[sp.csr_matrix]:
-        """The npz-archive (heap-copy) load path."""
-        path = self.path_for(content_hash, key)
-        try:
-            with np.load(path, allow_pickle=False) as archive:
-                if int(archive["format_version"]) != self.FORMAT_VERSION:
-                    return None
-                if str(archive["content_hash"]) != content_hash:
-                    return None
-                if [str(t) for t in archive["key"]] != [str(t) for t in key]:
-                    return None
-                matrix = sp.csr_matrix(
-                    (
-                        archive["data"],
-                        archive["indices"],
-                        archive["indptr"],
-                    ),
-                    shape=tuple(int(s) for s in archive["shape"]),
-                )
-        except (
-            OSError,
-            ValueError,
-            KeyError,
-            EOFError,
-            zipfile.BadZipFile,
-            zlib.error,
-            struct.error,
-        ):
-            # Missing, truncated, non-zip, or field-incomplete archive:
-            # all read as a cache miss; the caller recomposes + rewrites.
+        loaded = read_archive(self.path_for(content_hash, key), mapped=True)
+        if loaded is None:
             return None
-        matrix.sort_indices()
-        return matrix
+        header, arrays = loaded
+        if (
+            header.get("format_version") != self.FORMAT_VERSION
+            or header.get("content_hash") != content_hash
+            or header.get("key") != [str(t) for t in key]
+        ):
+            return None
+        try:
+            return unpack_csr(arrays, "product")
+        except ARCHIVE_MISS_ERRORS:
+            return None
 
     def save(
         self, content_hash: str, key: Sequence[str], matrix: sp.spmatrix
     ) -> bool:
         """Atomically persist a product; returns False on I/O failure."""
-        saved = self._save_impl(content_hash, key, matrix)
+        arrays: Dict[str, np.ndarray] = {}
+        pack_csr(arrays, "product", matrix)
+        header = {
+            "format_version": self.FORMAT_VERSION,
+            "content_hash": content_hash,
+            "key": [str(t) for t in key],
+        }
+        try:
+            write_archive(self.path_for(content_hash, key), header, arrays)
+            saved = True
+        except OSError:
+            saved = False
         with self._stats_lock:
             self._saves += 1
             if not saved:
                 self._save_failures += 1
         return saved
-
-    def _save_impl(
-        self, content_hash: str, key: Sequence[str], matrix: sp.spmatrix
-    ) -> bool:
-        matrix = sp.csr_matrix(matrix)
-        path = self.path_for(content_hash, key)
-        tmp_path = path.with_name(f"{path.stem}.{os.getpid()}.tmp")
-        try:
-            # Uncompressed on purpose: the store exists to beat
-            # recomposition, and zlib on every load eats the win for
-            # mid-sized products (disk is cheap, decompression is not).
-            with open(tmp_path, "wb") as handle:
-                np.savez(
-                    handle,
-                    format_version=np.int64(self.FORMAT_VERSION),
-                    content_hash=np.array(content_hash),
-                    key=np.array(list(key)),
-                    data=matrix.data,
-                    indices=matrix.indices,
-                    indptr=matrix.indptr,
-                    shape=np.array(matrix.shape, dtype=np.int64),
-                )
-            os.replace(tmp_path, path)
-        except OSError:
-            try:
-                tmp_path.unlink(missing_ok=True)
-            except OSError:
-                pass
-            return False
-        if self.mmap:
-            # Write the zero-copy sidecars eagerly so the first reader —
-            # including this process after an eviction — maps instead of
-            # copying.  Failure is benign: load() rebuilds them lazily.
-            save_mmap_csr(
-                self.directory,
-                path.stem,
-                matrix,
-                meta=self._sidecar_meta(content_hash, key),
-            )
-        return True
 
     # ------------------------------------------------------------------ #
     # Concurrent-writer dedupe (claim protocol)

@@ -43,9 +43,10 @@ Observability (:mod:`repro.obs`)
 
 The zero-copy substrate
     Both servers load bundles through the memory-mapped operator tier
-    (:meth:`repro.api.ModelHandle.load`; sidecar plumbing in
-    :mod:`repro.hin.cache`), and pipelines sharing a store dir reuse
-    each other's composed products via the same mmap sidecars — so
+    (:meth:`repro.api.ModelHandle.load`, which reads the bundle with
+    :func:`repro.hin.cache.read_archive` and maps its ``<bundle>.mmap/``
+    replica), and pipelines sharing a store dir reuse each other's
+    composed products through the same mapped reader — so
     **co-located workers share one OS-resident copy** of every operator
     and cold-start by mapping files, not recomposing or copying.
 

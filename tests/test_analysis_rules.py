@@ -391,6 +391,17 @@ class TestCSRCanonical:
         """)
         assert run_rule(CSRCanonicalRule(), path) == []
 
+    def test_archive_module_unpack_csr_accepted(self):
+        """``unpack_csr`` builds through ``csr_from_components``."""
+        import repro.hin.cache as cache
+
+        path = Path(cache.__file__)
+        findings = run_rule(CSRCanonicalRule(), path)
+        assert findings == []
+        assert "csr_from_components(data, indices, indptr, shape)" in (
+            path.read_text()
+        )
+
     def test_dense_and_coo_style_constructors_clean(self, tmp_path):
         path = write(tmp_path, "other_ctors.py", """\
             import numpy as np

@@ -18,6 +18,7 @@ from repro.baselines.registry import baseline_names, make_estimator
 from repro.core import ConCHConfig
 from repro.data import DBLPConfig, load_dataset, stratified_split
 from repro.eval.harness import method_from_estimator, run_method_on_split
+from repro.hin.cache import read_archive
 from repro.hin.engine import get_engine
 
 
@@ -244,6 +245,16 @@ class TestFrozenSnapshot:
             reloaded.fit(split)
         scores = reloaded.evaluate(split.test)
         assert scores == fitted["LabelProp"].evaluate(split.test)
+
+
+    def test_reloaded_snapshot_keeps_its_seed(self, dblp_tiny, split, tmp_path):
+        first = tmp_path / "lp.npz"
+        MethodEstimator("LabelProp", dblp_tiny, seed=3).fit(split).save(first)
+        reloaded = MethodEstimator.load(first)
+        assert reloaded.seed == 3
+        second = tmp_path / "lp-again.npz"
+        reloaded.save(second)
+        assert read_archive(second)[0]["seed"] == 3
 
 
 class TestProbabilityAwareAdapters:

@@ -6,7 +6,8 @@ Covers the `repro.api` acceptance contract:
   prep stages (the compose spy asserts zero products composed) and
   reproduces predictions bit-exactly.
 - **Artifact round-trips**: every stage artifact reloads bit-identical
-  to the in-memory original; corrupt files read as misses.
+  to the in-memory original; a key mismatch reads as a miss (corrupt
+  files: ``tests/test_archive.py``).
 - **Warm-store skip**: with stage artifacts gone but the product store
   warm, rerunning still composes zero products.
 - **Keys**: config fingerprints are stage-scoped and cumulative (a `k`
@@ -324,16 +325,6 @@ class TestArtifactRoundTrips:
         assert loaded is not None
         assert all(ids is None for ids in loaded.instance_ids)
         assert np.array_equal(loaded.pairs[0], context_set.pairs[0])
-
-    def test_corrupt_artifact_reads_as_miss(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        plan = MetaPathPlan(
-            key="deadbeef", node_types=[("A", "P", "A")], names=["APA"]
-        )
-        path = store.put(plan)
-        assert store.get("discover", "deadbeef") is not None
-        path.write_bytes(b"not an archive")
-        assert store.get("discover", "deadbeef") is None
 
     def test_key_mismatch_reads_as_miss(self, tmp_path):
         store = ArtifactStore(tmp_path)

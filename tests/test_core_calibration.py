@@ -145,20 +145,23 @@ class TestTemperatureScaler:
         # agree closely in practice.
         assert t_probs == pytest.approx(t_logits, rel=0.05)
 
-    def test_integration_with_conch_classifier(self):
+    def test_integration_with_conch_estimator(self):
         # Calibrate real ConCH validation scores end to end.
-        from repro.core.classifier import ConCHClassifier
+        from repro import api
+        from repro.core import ConCHConfig
         from repro.data import stratified_split
         from repro.data.dblp import DBLPConfig, make_dblp
 
         dataset = make_dblp(DBLPConfig(num_authors=80, num_papers=240, seed=8))
         split = stratified_split(dataset.labels, 0.2, seed=0)
-        clf = ConCHClassifier(
+        config = ConCHConfig(
             hidden_dim=16, out_dim=16, context_dim=8,
             embed_num_walks=1, embed_walk_length=8, embed_epochs=1,
             epochs=25, patience=12,
-        ).fit(dataset, split)
-        scores = clf.predict_scores()
+        )
+        scores = api.fit(
+            dataset, model="conch", split=split, config=config
+        ).predict_proba()
         scaler = TemperatureScaler().fit_from_probabilities(
             scores[split.val], dataset.labels[split.val]
         )

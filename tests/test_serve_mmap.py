@@ -1,20 +1,14 @@
-"""The zero-copy (mmap) store tier: equivalence, corruption, accounting.
+"""The zero-copy (mmap) store tier: accounting and cross-process sharing.
 
-Four properties of the :mod:`repro.hin.cache` sidecar tier + the engine
-integration:
+Two properties of the engine's integration with mapped products (the
+archive format's equivalence, corruption and staleness contracts live in
+``tests/test_archive.py``):
 
-1. **mmap ≡ npz equivalence** — a product loaded through the mapped
-   sidecars is bit-identical (structure, values, dtype) to the npz copy.
-2. **Corruption handling** — a corrupt/truncated sidecar is silently
-   treated as a miss, rebuilt from the npz, and served mapped again; a
-   corrupt *npz* is a miss regardless of sidecar health (the archive
-   stays the single source of truth), and a rewritten npz invalidates
-   old sidecars via its stat identity.
-3. **Resident accounting** — mapped entries register ~0 heap bytes in
+1. **Resident accounting** — mapped entries register ~0 heap bytes in
    the LRU budget (``resident_nbytes``), never get evicted to "free"
    page-cache memory, and the engine's ``stats()`` reports them under
    ``mapped_products`` / ``mapped_bytes``.
-4. **Cross-process sharing** — two worker *processes* over one warm
+2. **Cross-process sharing** — two worker *processes* over one warm
    store dir each compose zero products and serve mmap-backed operators
    (the multi-process smoke test, run via subprocess for isolation).
 """
@@ -36,13 +30,12 @@ from repro.hin.cache import (
     ProductStore,
     csr_from_components,
     is_mmap_backed,
-    load_mmap_arrays,
     nbytes_of,
+    read_archive,
     resident_nbytes,
-    save_mmap_arrays,
+    unpack_csr,
 )
 from repro.hin.engine import CommutingEngine
-from repro.hin.io import hin_content_hash
 
 APCPA = MetaPath.parse("APCPA")
 
@@ -75,161 +68,8 @@ def random_csr(seed: int = 0, shape=(13, 9), density: float = 0.3):
     return sp.csr_matrix(dense)
 
 
-def assert_csr_identical(left, right) -> None:
-    left, right = sp.csr_matrix(left), sp.csr_matrix(right)
-    assert left.shape == right.shape
-    np.testing.assert_array_equal(left.indptr, right.indptr)
-    np.testing.assert_array_equal(left.indices, right.indices)
-    np.testing.assert_array_equal(left.data, right.data)
-    assert left.dtype == right.dtype
-
-
-def sidecar_files(directory: Path):
-    return sorted(directory.glob("product-*.npy"))
-
-
 # ---------------------------------------------------------------------- #
-# 1. mmap ≡ npz equivalence
-# ---------------------------------------------------------------------- #
-
-
-class TestMmapEquivalence:
-    def test_mapped_load_is_bit_identical_to_npz(self, tmp_path):
-        store = ProductStore(tmp_path)
-        matrix = random_csr(3)
-        assert store.save("hash-a", KEY, matrix)
-        mapped = store.load("hash-a", KEY)
-        heap = store.load("hash-a", KEY, mmap=False)
-        assert is_mmap_backed(mapped)
-        assert not is_mmap_backed(heap)
-        assert_csr_identical(mapped, heap)
-        assert_csr_identical(mapped, matrix)
-
-    def test_mapped_matrix_is_read_only_but_fully_usable(self, tmp_path):
-        store = ProductStore(tmp_path)
-        matrix = random_csr(4)
-        store.save("hash-a", KEY, matrix)
-        mapped = store.load("hash-a", KEY)
-        with pytest.raises((ValueError, TypeError)):
-            mapped.data[0] = 99.0
-        # The read paths the engine and serving tier rely on all work.
-        assert mapped.has_sorted_indices
-        assert_csr_identical(mapped[np.array([1, 3])], matrix[np.array([1, 3])])
-        np.testing.assert_allclose(
-            (mapped @ mapped.T).toarray(), (matrix @ matrix.T).toarray()
-        )
-        copied = mapped.copy()
-        copied.data[:] = 1.0  # copies are private and writable
-
-    def test_store_level_mmap_opt_out(self, tmp_path):
-        store = ProductStore(tmp_path, mmap=False)
-        matrix = random_csr(5)
-        store.save("hash-a", KEY, matrix)
-        loaded = store.load("hash-a", KEY)
-        assert loaded is not None and not is_mmap_backed(loaded)
-        assert sidecar_files(tmp_path) == []  # no sidecars ever written
-
-    def test_empty_product_round_trips(self, tmp_path):
-        store = ProductStore(tmp_path)
-        empty = sp.csr_matrix((7, 4))
-        store.save("hash-a", KEY, empty)
-        loaded = store.load("hash-a", KEY)
-        assert loaded is not None
-        assert loaded.nnz == 0 and loaded.shape == (7, 4)
-
-
-# ---------------------------------------------------------------------- #
-# 2. Corruption and staleness
-# ---------------------------------------------------------------------- #
-
-
-class TestCorruption:
-    def test_corrupt_sidecar_is_rebuilt_from_npz(self, tmp_path):
-        store = ProductStore(tmp_path)
-        matrix = random_csr(6)
-        store.save("hash-a", KEY, matrix)
-        for victim in sidecar_files(tmp_path):
-            victim.write_bytes(b"not an npy file")
-        recovered = store.load("hash-a", KEY)  # no raise
-        assert recovered is not None
-        assert_csr_identical(recovered, matrix)
-        # ... and the tier healed: the rebuilt sidecars serve mapped.
-        assert is_mmap_backed(recovered)
-        assert is_mmap_backed(store.load("hash-a", KEY))
-
-    def test_truncated_sidecar_is_a_miss_then_rewritten(self, tmp_path):
-        store = ProductStore(tmp_path)
-        matrix = random_csr(7, shape=(40, 30))
-        store.save("hash-a", KEY, matrix)
-        for victim in sidecar_files(tmp_path):
-            payload = victim.read_bytes()
-            victim.write_bytes(payload[: len(payload) // 2])
-        recovered = store.load("hash-a", KEY)
-        assert recovered is not None
-        assert_csr_identical(recovered, matrix)
-        assert is_mmap_backed(store.load("hash-a", KEY))
-
-    def test_corrupt_manifest_is_a_miss_then_rewritten(self, tmp_path):
-        store = ProductStore(tmp_path)
-        matrix = random_csr(8)
-        store.save("hash-a", KEY, matrix)
-        for manifest in tmp_path.glob("*.mmap.json"):
-            manifest.write_text("{not json")
-        recovered = store.load("hash-a", KEY)
-        assert recovered is not None and is_mmap_backed(recovered)
-        assert_csr_identical(recovered, matrix)
-
-    def test_corrupt_npz_is_a_miss_even_with_healthy_sidecars(self, tmp_path):
-        """The npz is the single source of truth: intact sidecars must
-        not resurrect a product whose durable archive is gone."""
-        store = ProductStore(tmp_path)
-        matrix = random_csr(9)
-        store.save("hash-a", KEY, matrix)
-        store.path_for("hash-a", KEY).write_bytes(b"corrupted beyond repair")
-        assert store.load("hash-a", KEY) is None
-        assert store.save("hash-a", KEY, matrix)  # rewritten
-        assert_csr_identical(store.load("hash-a", KEY), matrix)
-
-    def test_rewritten_npz_invalidates_old_sidecars(self, tmp_path):
-        """Stat-identity check: after the archive is atomically replaced
-        with a different product, stale sidecars are never served."""
-        store = ProductStore(tmp_path)
-        old = random_csr(10)
-        store.save("hash-a", KEY, old)
-        new = random_csr(11)
-        assert new.nnz != old.nnz  # genuinely different payloads
-        # Re-save through a mmap-blind handle so the sidecars stay stale.
-        ProductStore(tmp_path, mmap=False).save("hash-a", KEY, new)
-        served = store.load("hash-a", KEY)
-        assert_csr_identical(served, new)
-        assert is_mmap_backed(served)  # rebuilt, not the stale generation
-
-    def test_manifest_with_wrong_json_shape_is_a_miss(self, tmp_path):
-        """A manifest that decodes to the wrong JSON shape (an int, a
-        list) must read as a miss, not raise — and heal on reload."""
-        store = ProductStore(tmp_path)
-        matrix = random_csr(20)
-        store.save("hash-a", KEY, matrix)
-        for manifest in tmp_path.glob("*.mmap.json"):
-            manifest.write_text("3")  # valid JSON, wrong shape
-        recovered = store.load("hash-a", KEY)
-        assert recovered is not None and is_mmap_backed(recovered)
-        assert_csr_identical(recovered, matrix)
-
-    def test_generic_sidecars_reject_mismatched_expected_meta(self, tmp_path):
-        save_mmap_arrays(
-            tmp_path, "unit", {"x": np.arange(5)}, meta={"owner": "a"}
-        )
-        assert load_mmap_arrays(tmp_path, "unit", {"owner": "b"}) is None
-        loaded = load_mmap_arrays(tmp_path, "unit", {"owner": "a"})
-        assert loaded is not None
-        meta, arrays = loaded
-        assert meta["owner"] == "a"
-        np.testing.assert_array_equal(arrays["x"], np.arange(5))
-
-
-# ---------------------------------------------------------------------- #
-# 3. Resident-bytes accounting
+# 1. Resident-bytes accounting
 # ---------------------------------------------------------------------- #
 
 
@@ -239,7 +79,9 @@ class TestResidentAccounting:
         matrix = random_csr(12)
         store.save("hash-a", KEY, matrix)
         mapped = store.load("hash-a", KEY)
-        heap = store.load("hash-a", KEY, mmap=False)
+        _, arrays = read_archive(store.path_for("hash-a", KEY))
+        heap = unpack_csr(arrays, "product")
+        assert not is_mmap_backed(heap)
         assert resident_nbytes(mapped) == 0
         assert resident_nbytes(heap) == nbytes_of(heap) > 0
         assert nbytes_of(mapped) == nbytes_of(heap)  # true size unchanged
@@ -299,7 +141,7 @@ class TestResidentAccounting:
 
 
 # ---------------------------------------------------------------------- #
-# 4. Cross-process sharing (multi-process smoke test)
+# 2. Cross-process sharing (multi-process smoke test)
 # ---------------------------------------------------------------------- #
 
 _WORKER_SCRIPT = """

@@ -16,9 +16,9 @@ What must hold:
    report latency/throughput/batch shape; ``stop`` fails pending work
    instead of wedging callers.
 4. **Zero-copy serving** — a bundle loaded mapped answers exactly like
-   the heap load, sidecars are rebuilt when the bundle is rewritten,
-   and :class:`ProcessReplicaServer` replicas (each mapping the same
-   sidecars) agree with the parent.
+   the heap load, and :class:`ProcessReplicaServer` replicas (each
+   mapping the same replica) agree with the parent.  (Replica reuse,
+   rebuilds and corruption: ``tests/test_archive.py``.)
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 import pytest
 
 from repro import api
-from repro.api import ConCHEstimator, ModelHandle
+from repro.api import ConCHEstimator, ModelHandle, load_estimator
 from repro.core import ConCHConfig
 from repro.data import DBLPConfig, load_dataset, stratified_split
 from repro.hin.cache import is_mmap_backed
@@ -82,7 +82,7 @@ def handle(bundle_path):
 
 @pytest.fixture(scope="module")
 def heap_handle(bundle_path):
-    return ModelHandle.load(bundle_path, mmap=False)
+    return ModelHandle.from_estimator(load_estimator(bundle_path))
 
 
 def request_mix(handle, count: int = 24):
@@ -354,40 +354,6 @@ class TestMappedBundles:
         np.testing.assert_array_equal(
             handle.predict_proba_nodes([0, 3, 3]),
             heap_handle.predict_proba_nodes([0, 3, 3]),
-        )
-
-    def test_second_mapped_load_reuses_sidecars(self, bundle_path, handle):
-        sidecar_dir = bundle_path.with_name(bundle_path.name + ".mmap")
-        before = sorted(p.name for p in sidecar_dir.iterdir())
-        again = ModelHandle.load(bundle_path)
-        assert sorted(p.name for p in sidecar_dir.iterdir()) == before
-        np.testing.assert_array_equal(
-            again.predict_nodes([1, 2]), handle.predict_nodes([1, 2])
-        )
-
-    def test_rewritten_bundle_invalidates_sidecars(
-        self, dblp_tiny, tiny_config, tmp_path
-    ):
-        split = stratified_split(dblp_tiny.labels, 0.2, seed=1)
-        path = tmp_path / "conch.npz"
-        first = ConCHEstimator(
-            api.Pipeline(dblp_tiny, config=tiny_config).data, tiny_config
-        ).fit(split)
-        first.save(path)
-        ModelHandle.load(path)  # builds sidecars for generation 1
-
-        retrain_config = tiny_config.with_overrides(seed=99, epochs=4)
-        second = ConCHEstimator(
-            api.Pipeline(dblp_tiny, config=retrain_config).data,
-            retrain_config,
-        ).fit(split)
-        second.save(path)  # atomic replace: new stat identity
-        remapped = ModelHandle.load(path)
-        reference = ModelHandle.load(path, mmap=False)
-        ids = np.arange(remapped.num_objects)
-        np.testing.assert_array_equal(
-            remapped.predict_proba_nodes(ids),
-            reference.predict_proba_nodes(ids),
         )
 
     def test_process_server_sheds_beyond_max_queue(self, bundle_path):
